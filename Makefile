@@ -1,8 +1,9 @@
 # CI entry points for the GOOFI reproduction. `make ci` is what every PR
-# must keep green: vet, build, the full test suite, the race-checked core,
-# scan and obsv packages (the concurrent campaign runner, the packed scan
-# datapath and the metrics broadcaster), and a short benchmark smoke run
-# that also emits its machine-readable JSON summary.
+# must keep green: vet, build, the full test suite, the benchmark module's
+# own tests, the race-checked core, scan and obsv packages (the concurrent
+# campaign runner, the packed scan datapath and the metrics broadcaster), and
+# a short benchmark smoke run that also emits its machine-readable JSON
+# summary.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ BENCHCOUNT ?= 6
 OLD ?= BENCH_old.json
 NEW ?= BENCH_campaign.json
 
-.PHONY: all build vet fmt test race bench benchdiff benchsmoke cover fuzzsmoke crashsmoke storagesmoke servesmoke ci
+.PHONY: all build vet fmt test race perfbench bench benchdiff benchsmoke cover fuzzsmoke crashsmoke storagesmoke servesmoke ci
 
 all: ci
 
@@ -45,6 +46,13 @@ test:
 # internal/dbase; run all ten under the race detector on every change.
 race:
 	$(GO) test -race ./internal/core/... ./internal/scan/... ./internal/target/... ./internal/thor/... ./internal/envsim/... ./internal/obsv/... ./internal/sqldb/... ./internal/vfs/... ./internal/service/... ./internal/dbase/...
+
+# The repository benchmark's own tests (workload smoke runs, trace
+# arithmetic, BENCHMARK.json agreement). perfbench/ is a separate Go module,
+# so `go test ./...` above does not reach it; it builds offline against the
+# checkout through its replace directive.
+perfbench:
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off GOPROXY=off $(GO) test .
 
 # Benchstat-friendly benchmark run: every benchmark, with allocation
 # stats, repeated BENCHCOUNT times. The raw text lands in
@@ -125,5 +133,5 @@ servesmoke:
 # (75%): the smoke run is short and lands on whatever machine CI uses,
 # so only order-of-magnitude regressions — a forked campaign falling
 # back to the plain path, a capture turning quadratic — should trip it.
-ci: fmt vet build test race benchsmoke fuzzsmoke crashsmoke storagesmoke servesmoke
+ci: fmt vet build test race perfbench benchsmoke fuzzsmoke crashsmoke storagesmoke servesmoke
 	$(GO) run ./cmd/goofi-bench -diff BENCH_campaign.json -tolerance 75 -metrics ns BENCH_smoke.json

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"goofi/internal/core"
 	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
+	"goofi/internal/sqldb"
 	"goofi/internal/target"
 	"goofi/internal/workload"
 )
@@ -95,6 +97,42 @@ func TestClassifyCampaign(t *testing.T) {
 		}
 		if rep.CI.Lo > rep.Coverage || rep.CI.Hi < rep.Coverage {
 			t.Fatalf("CI %v does not bracket coverage %f", rep.CI, rep.Coverage)
+		}
+	}
+}
+
+// TestClassifyCommits pins what classification costs on a strict WAL store:
+// a 64-experiment campaign stores its results in one chunked INSERT, plus at
+// most one chunked DELETE when earlier results are replaced — never one
+// commit per experiment.
+func TestClassifyCommits(t *testing.T) {
+	store, err := dbase.OpenStoreWAL(filepath.Join(t.TempDir(), "an.db"), sqldb.WALOptions{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ops := target.NewDefaultThorTarget()
+	if err := core.RegisterTarget(store, ops, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewRunner(ops, store, baseCampaign("wal64", 64)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"first", "repeat"} {
+		before := store.DB().WALStats().Fsyncs
+		rep, err := Classify(store, "wal64")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fsyncs := store.DB().WALStats().Fsyncs - before; fsyncs > 2 {
+			t.Fatalf("%s Classify of 64 experiments cost %d fsyncs, want at most 2", pass, fsyncs)
+		}
+		rows, err := store.AnalysisResults("wal64")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total != 64 || len(rows) != 64 {
+			t.Fatalf("%s Classify: total %d, %d stored rows, want 64", pass, rep.Total, len(rows))
 		}
 	}
 }

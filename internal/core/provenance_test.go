@@ -21,29 +21,43 @@ import (
 // chaos fault that felled attempt 0, the retry backoff, the successful
 // attempt, and the WAL commit batch that made its row durable.
 func TestProvenanceCausalChain(t *testing.T) {
-	fcfg, err := vfs.ParseFaultyConfig("write=0.02,sync=0.02,seed=11")
+	openRegistered := func(fsys vfs.FS) (*dbase.Store, *target.ThorTarget) {
+		store, err := dbase.OpenStoreWALFS(filepath.Join(t.TempDir(), "campaign.db"), fsys,
+			sqldb.WALOptions{SyncEvery: 1, CheckpointBytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		thor := target.NewDefaultThorTarget()
+		if err := RegisterTarget(store, thor, "provenance target"); err != nil {
+			t.Fatal(err)
+		}
+		return store, thor
+	}
+	// A fault-free probe counts the filesystem ops that opening and
+	// registration take, so the one scheduled transient fault below lands
+	// inside the campaign's own row commits however many ops registration
+	// costs.
+	probe, err := vfs.NewFaulty(vfs.OS{}, vfs.FaultyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := vfs.NewFaulty(vfs.OS{}, fcfg)
+	probeStore, _ := openRegistered(probe)
+	setupOps := uint64(probe.Stats().Ops)
+	probeStore.Close()
+	fsys, err := vfs.NewFaulty(vfs.OS{}, vfs.FaultyConfig{
+		Schedule: vfs.Schedule{{Op: setupOps + 2, Kind: vfs.FaultWriteErr}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dbase.OpenStoreWALFS(filepath.Join(t.TempDir(), "campaign.db"), fsys,
-		sqldb.WALOptions{SyncEvery: 1, CheckpointBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
 	rec := obsv.New(obsv.Options{Journal: true})
-	store.SetRecorder(rec)
 	fsys.SetRecorder(rec)
-
-	thor := target.NewDefaultThorTarget()
-	if err := RegisterTarget(store, thor, "provenance target"); err != nil {
-		t.Fatal(err)
+	store, thor := openRegistered(fsys)
+	defer store.Close()
+	if n := fsys.Stats().InjectedErrors; n != 0 {
+		t.Fatalf("the scheduled storage fault fired during setup (%d faults)", n)
 	}
+	store.SetRecorder(rec)
 	flaky := target.NewFlaky(thor, target.FlakyConfig{ErrorRate: 0.01, PanicRate: 0.002, Seed: 7})
 	ops := target.NewMeasured(flaky, rec)
 
@@ -53,6 +67,9 @@ func TestProvenanceCausalChain(t *testing.T) {
 	sum, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := fsys.Stats().InjectedErrors; n != 1 {
+		t.Fatalf("campaign hit %d injected storage faults, want the 1 scheduled", n)
 	}
 	if err := store.Save(); err != nil {
 		t.Fatal(err)

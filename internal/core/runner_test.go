@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
+	"goofi/internal/sqldb"
 	"goofi/internal/target"
 	"goofi/internal/workload"
 )
@@ -45,6 +47,33 @@ func scifiCampaign(name string, n int) Campaign {
 		Seed:           1,
 		InjectMinTime:  10,
 		InjectMaxTime:  1400,
+	}
+}
+
+// TestRegisterTargetCommits pins what registration costs on a strict WAL
+// store: one commit for the target row and one per chunked FaultLocation
+// INSERT of at most 256 rows, not one fsync per location.
+func TestRegisterTargetCommits(t *testing.T) {
+	store, err := dbase.OpenStoreWAL(filepath.Join(t.TempDir(), "reg.db"), sqldb.WALOptions{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	before := store.DB().WALStats().Fsyncs
+	ops := target.NewDefaultThorTarget()
+	if err := RegisterTarget(store, ops, "simulated Thor RD"); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := store.DB().WALStats().Fsyncs - before
+	locs, err := store.FaultLocations(ops.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locs) != 546 {
+		t.Fatalf("locations = %d, want 546", len(locs))
+	}
+	if limit := int64(1 + (len(locs)+255)/256); fsyncs > limit {
+		t.Fatalf("registering %d locations cost %d fsyncs, want at most %d", len(locs), fsyncs, limit)
 	}
 }
 

@@ -298,8 +298,11 @@ func (s *Store) PutTargetSystem(ts TargetSystem) error {
 	if ts.TestCardName == "" {
 		return fmt.Errorf("dbase: target system needs a name")
 	}
-	_, _ = s.db.Exec("DELETE FROM FaultLocation WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
-	_, err := s.db.Exec("DELETE FROM TargetSystemData WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
+	_, err := s.db.Exec("DELETE FROM FaultLocation WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
+	if err != nil {
+		return fmt.Errorf("dbase: replace fault locations: %w", err)
+	}
+	_, err = s.db.Exec("DELETE FROM TargetSystemData WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
 	if err != nil {
 		return fmt.Errorf("dbase: replace target system: %w", err)
 	}
@@ -349,18 +352,12 @@ func (s *Store) TargetSystems() ([]string, error) {
 
 // PutFaultLocations inserts the location list of a target.
 func (s *Store) PutFaultLocations(locs []LocationRow) error {
-	for _, l := range locs {
-		_, err := s.db.Exec(
-			"INSERT INTO FaultLocation VALUES (?, ?, ?, ?, ?, ?)",
+	return insertChunked(s, "FaultLocation", 6, locs, func(args []sqldb.Value, l LocationRow) []sqldb.Value {
+		return append(args,
 			sqldb.Text(l.TestCardName), sqldb.Text(l.LocationName),
 			sqldb.Text(l.ChainName), sqldb.Int64(int64(l.FirstBit)),
-			sqldb.Int64(int64(l.Width)), sqldb.Bool(l.Writable),
-		)
-		if err != nil {
-			return fmt.Errorf("dbase: put fault location %s: %w", l.LocationName, err)
-		}
-	}
-	return nil
+			sqldb.Int64(int64(l.Width)), sqldb.Bool(l.Writable))
+	}, nil, nil)
 }
 
 // FaultLocations lists the fault locations of a target in name order.
@@ -542,22 +539,20 @@ type ExperimentRow struct {
 // PutExperiment logs one experiment.
 func (s *Store) PutExperiment(e ExperimentRow) error {
 	defer s.timeOp("PutExperiment")(1)
+	return insertChunked(s, "LoggedSystemState", 9, []ExperimentRow{e}, appendExperimentArgs, nil, s.emitRowsDurable)
+}
+
+// appendExperimentArgs renders one experiment row in column order.
+func appendExperimentArgs(args []sqldb.Value, e ExperimentRow) []sqldb.Value {
 	parent := sqldb.Null()
 	if e.ParentExperiment != "" {
 		parent = sqldb.Text(e.ParentExperiment)
 	}
-	_, err := s.db.Exec(
-		"INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+	return append(args,
 		sqldb.Text(e.ExperimentName), parent, sqldb.Text(e.CampaignName),
 		sqldb.Text(e.ExperimentData), sqldb.Text(e.TerminationReason),
 		sqldb.Text(e.Mechanism), sqldb.Int64(int64(e.Cycles)),
-		sqldb.Int64(int64(e.Iterations)), sqldb.Blob(e.StateVector),
-	)
-	if err != nil {
-		return fmt.Errorf("dbase: put experiment %s: %w", e.ExperimentName, err)
-	}
-	s.emitRowsDurable([]ExperimentRow{e})
-	return nil
+		sqldb.Int64(int64(e.Iterations)), sqldb.Blob(e.StateVector))
 }
 
 // emitRowsDurable records that the store acknowledged these experiment rows,
@@ -587,46 +582,53 @@ func (s *Store) emitRowsDurable(rows []ExperimentRow) {
 // flushes.
 const maxInsertRows = 256
 
-// PutExperiments logs a batch of experiments through multi-row INSERTs of at
-// most maxInsertRows rows each, amortising statement parsing and per-row
-// constraint checks — the logging stage of parallel campaign execution
-// funnels worker results through this.
+// insertChunked writes rows into table through multi-row INSERTs of at most
+// maxInsertRows rows each, the path of every bulk store write. A chunk is
+// one statement: it applies all-or-nothing and costs one WAL group commit,
+// not one per row. render appends one row's cols values in column order.
+// Per chunk, before (when non-nil) runs ahead of the INSERT and after (when
+// non-nil) once it is acknowledged.
+func insertChunked[T any](s *Store, table string, cols int, rows []T,
+	render func([]sqldb.Value, T) []sqldb.Value, before func([]T) error, after func([]T)) error {
+	placeholder := "(" + strings.Repeat("?, ", cols-1) + "?)"
+	for len(rows) > 0 {
+		chunk := rows[:min(len(rows), maxInsertRows)]
+		rows = rows[len(chunk):]
+		if before != nil {
+			if err := before(chunk); err != nil {
+				return err
+			}
+		}
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO " + table + " VALUES ")
+		args := make([]sqldb.Value, 0, cols*len(chunk))
+		for i, r := range chunk {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(placeholder)
+			args = render(args, r)
+		}
+		if _, err := s.db.Exec(sb.String(), args...); err != nil {
+			return fmt.Errorf("dbase: put %d %s rows: %w", len(chunk), table, err)
+		}
+		if after != nil {
+			after(chunk)
+		}
+	}
+	return nil
+}
+
+// PutExperiments logs a batch of experiments through insertChunked,
+// amortising statement parsing, per-row constraint checks and WAL commits —
+// the logging stage of parallel campaign execution funnels worker results
+// through this.
 func (s *Store) PutExperiments(rows []ExperimentRow) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	defer s.timeOp("PutExperiments")(len(rows))
-	for len(rows) > 0 {
-		chunk := rows
-		if len(chunk) > maxInsertRows {
-			chunk = chunk[:maxInsertRows]
-		}
-		rows = rows[len(chunk):]
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO LoggedSystemState VALUES ")
-		args := make([]sqldb.Value, 0, 9*len(chunk))
-		for i, e := range chunk {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString("(?, ?, ?, ?, ?, ?, ?, ?, ?)")
-			parent := sqldb.Null()
-			if e.ParentExperiment != "" {
-				parent = sqldb.Text(e.ParentExperiment)
-			}
-			args = append(args,
-				sqldb.Text(e.ExperimentName), parent, sqldb.Text(e.CampaignName),
-				sqldb.Text(e.ExperimentData), sqldb.Text(e.TerminationReason),
-				sqldb.Text(e.Mechanism), sqldb.Int64(int64(e.Cycles)),
-				sqldb.Int64(int64(e.Iterations)), sqldb.Blob(e.StateVector))
-		}
-		if _, err := s.db.Exec(sb.String(), args...); err != nil {
-			return fmt.Errorf("dbase: put %d experiments (first %s): %w",
-				len(chunk), chunk[0].ExperimentName, err)
-		}
-		s.emitRowsDurable(chunk)
-	}
-	return nil
+	return insertChunked(s, "LoggedSystemState", 9, rows, appendExperimentArgs, nil, s.emitRowsDurable)
 }
 
 // ExperimentNames returns the name of every logged experiment of a campaign
@@ -710,21 +712,25 @@ type AnalysisRow struct {
 }
 
 // PutAnalysis stores classification rows, replacing earlier results for the
-// same experiments.
+// same experiments: each chunk first deletes its experiments' old rows in one
+// statement (a no-op, and no WAL record, on a first classification).
 func (s *Store) PutAnalysis(rows []AnalysisRow) error {
 	defer s.timeOp("PutAnalysis")(len(rows))
-	for _, r := range rows {
-		if _, err := s.db.Exec("DELETE FROM AnalysisResult WHERE experimentName = ?",
-			sqldb.Text(r.ExperimentName)); err != nil {
+	replace := func(chunk []AnalysisRow) error {
+		names := make([]sqldb.Value, len(chunk))
+		for i, r := range chunk {
+			names[i] = sqldb.Text(r.ExperimentName)
+		}
+		q := "DELETE FROM AnalysisResult WHERE experimentName IN (?" + strings.Repeat(", ?", len(chunk)-1) + ")"
+		if _, err := s.db.Exec(q, names...); err != nil {
 			return fmt.Errorf("dbase: clear analysis: %w", err)
 		}
-		if _, err := s.db.Exec("INSERT INTO AnalysisResult VALUES (?, ?, ?, ?)",
-			sqldb.Text(r.ExperimentName), sqldb.Text(r.CampaignName),
-			sqldb.Text(r.Outcome), sqldb.Text(r.Mechanism)); err != nil {
-			return fmt.Errorf("dbase: put analysis: %w", err)
-		}
+		return nil
 	}
-	return nil
+	return insertChunked(s, "AnalysisResult", 4, rows, func(args []sqldb.Value, r AnalysisRow) []sqldb.Value {
+		return append(args, sqldb.Text(r.ExperimentName), sqldb.Text(r.CampaignName),
+			sqldb.Text(r.Outcome), sqldb.Text(r.Mechanism))
+	}, replace, nil)
 }
 
 // AnalysisResults returns the classification rows of a campaign.

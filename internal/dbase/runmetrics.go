@@ -10,7 +10,6 @@ package dbase
 
 import (
 	"fmt"
-	"strings"
 
 	"goofi/internal/obsv"
 	"goofi/internal/sqldb"
@@ -99,29 +98,7 @@ func (s *Store) PutRunMetrics(rows []RunMetricsRow) error {
 		return nil
 	}
 	defer s.timeOp("PutRunMetrics")(len(rows))
-	placeholder := "(" + strings.Repeat("?, ", runMetricsCols-1) + "?)"
-	for len(rows) > 0 {
-		chunk := rows
-		if len(chunk) > maxInsertRows {
-			chunk = chunk[:maxInsertRows]
-		}
-		rows = rows[len(chunk):]
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO CampaignRunMetrics VALUES ")
-		args := make([]sqldb.Value, 0, runMetricsCols*len(chunk))
-		for i, r := range chunk {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(placeholder)
-			args = appendRunMetricsArgs(args, r)
-		}
-		if _, err := s.db.Exec(sb.String(), args...); err != nil {
-			return fmt.Errorf("dbase: put %d run metrics rows (campaign %s run %d): %w",
-				len(chunk), chunk[0].CampaignName, chunk[0].RunID, err)
-		}
-	}
-	return nil
+	return insertChunked(s, "CampaignRunMetrics", runMetricsCols, rows, appendRunMetricsArgs, nil, nil)
 }
 
 // NextRunID returns the run number the campaign's next run should record

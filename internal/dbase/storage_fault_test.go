@@ -1,7 +1,9 @@
 package dbase
 
 import (
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"goofi/internal/sqldb"
@@ -185,5 +187,49 @@ func TestWALAppendRetriesTransientFault(t *testing.T) {
 	}
 	if len(exps) != 1 {
 		t.Fatalf("reopen after retried append found %d experiments, want 1", len(exps))
+	}
+}
+
+// TestPutTargetSystemReportsFaultLocationError: re-registering a target
+// whose FaultLocation delete hits a dead disk fails with that delete's
+// error, not with whatever the following TargetSystemData delete reports.
+// The fault op is calibrated by a dry run, as above.
+func TestPutTargetSystemReportsFaultLocationError(t *testing.T) {
+	setup := func(t *testing.T, fsys *vfs.Faulty) *Store {
+		t.Helper()
+		s, err := OpenStoreWALFS(filepath.Join(t.TempDir(), "camp.db"), fsys, sqldb.WALOptions{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTargetSystem(sampleTarget()); err != nil {
+			t.Fatal(err)
+		}
+		err = s.PutFaultLocations([]LocationRow{{TestCardName: sampleTarget().TestCardName,
+			LocationName: "internal.core/R0", ChainName: "internal.core", Width: 32, Writable: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	calib := newFaultyT(t, vfs.FaultyConfig{})
+	dry := setup(t, calib)
+	deleteOp := calib.Stats().Ops
+	if err := dry.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := newFaultyT(t, vfs.FaultyConfig{
+		Schedule: vfs.Schedule{{Op: uint64(deleteOp), Kind: vfs.FaultSticky}},
+	})
+	s := setup(t, fsys)
+	defer s.Close()
+	err := s.PutTargetSystem(sampleTarget())
+	switch {
+	case err == nil:
+		t.Fatal("re-registration over a dead disk succeeded")
+	case !vfs.IsInjected(err) || errors.Is(err, sqldb.ErrForeignKey):
+		t.Fatalf("err = %v, want the injected storage fault", err)
+	case !strings.Contains(err.Error(), "fault locations"):
+		t.Fatalf("err = %v, want it to name the FaultLocation delete", err)
 	}
 }

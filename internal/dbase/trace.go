@@ -8,7 +8,6 @@ package dbase
 
 import (
 	"fmt"
-	"strings"
 
 	"goofi/internal/obsv"
 	"goofi/internal/sqldb"
@@ -87,29 +86,10 @@ func (s *Store) PutTraceEvents(campaign string, runID int64, events []obsv.WideE
 		return nil
 	}
 	defer s.timeOp("PutTraceEvents")(len(events))
-	placeholder := "(" + strings.Repeat("?, ", traceEventCols-1) + "?)"
-	for len(events) > 0 {
-		chunk := events
-		if len(chunk) > maxInsertRows {
-			chunk = chunk[:maxInsertRows]
-		}
-		events = events[len(chunk):]
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO ExperimentTraceEvents VALUES ")
-		args := make([]sqldb.Value, 0, traceEventCols*len(chunk))
-		for i, ev := range chunk {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(placeholder)
-			args = appendTraceEventArgs(args, campaign, runID, ev)
-		}
-		if _, err := s.db.Exec(sb.String(), args...); err != nil {
-			return fmt.Errorf("dbase: put %d trace events (campaign %s run %d): %w",
-				len(chunk), campaign, runID, err)
-		}
-	}
-	return nil
+	return insertChunked(s, "ExperimentTraceEvents", traceEventCols, events,
+		func(args []sqldb.Value, ev obsv.WideEvent) []sqldb.Value {
+			return appendTraceEventArgs(args, campaign, runID, ev)
+		}, nil, nil)
 }
 
 // PutTraceJournal drains a live journal into the store under a fresh runId

@@ -28,18 +28,31 @@ func (db *DB) execInsert(s *insertStmt, args []Value) (Result, error) {
 			targets = append(targets, idx)
 		}
 	}
+	// A multi-row INSERT is all-or-nothing: a failing row undoes the rows
+	// the statement already appended, since a failed statement writes no WAL
+	// record and a later checkpoint must not make those rows durable.
+	start := len(t.rows)
+	if err := db.insertValues(t, s, targets, args); err != nil {
+		t.truncateRows(start)
+		return Result{}, fmt.Errorf("insert into %s: %w", s.Table, err)
+	}
+	return Result{RowsAffected: int64(len(t.rows) - start)}, nil
+}
+
+// insertValues evaluates and appends the VALUES rows of s in order, stopping
+// at the first failure. The caller holds the write lock.
+func (db *DB) insertValues(t *table, s *insertStmt, targets []int, args []Value) error {
 	env := &rowEnv{args: args}
-	var inserted int64
 	for _, exprs := range s.Rows {
 		if len(exprs) != len(targets) {
-			return Result{}, fmt.Errorf("insert into %s: %d values for %d columns", s.Table, len(exprs), len(targets))
+			return fmt.Errorf("%d values for %d columns", len(exprs), len(targets))
 		}
 		row := make([]Value, len(t.def.Columns))
 		filled := make([]bool, len(t.def.Columns))
 		for i, e := range exprs {
 			v, err := evalExpr(e, env)
 			if err != nil {
-				return Result{}, fmt.Errorf("insert into %s: %w", s.Table, err)
+				return err
 			}
 			row[targets[i]] = v
 			filled[targets[i]] = true
@@ -50,11 +63,22 @@ func (db *DB) execInsert(s *insertStmt, args []Value) (Result, error) {
 			}
 		}
 		if err := db.insertRow(t, row); err != nil {
-			return Result{}, fmt.Errorf("insert into %s: %w", s.Table, err)
+			return err
 		}
-		inserted++
 	}
-	return Result{RowsAffected: inserted}, nil
+	return nil
+}
+
+// truncateRows drops every row from index n on, together with its primary
+// key entry.
+func (t *table) truncateRows(n int) {
+	if t.pkIndex != nil {
+		for _, row := range t.rows[n:] {
+			key, _ := t.pkKey(row)
+			delete(t.pkIndex, key)
+		}
+	}
+	t.rows = t.rows[:n]
 }
 
 // insertRow validates constraints and appends the row. The caller holds the

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -426,6 +427,44 @@ func TestWALNoRecordsForNoOps(t *testing.T) {
 	}
 	if got := db.WALStats().Records; got != base {
 		t.Fatalf("no-op statements appended %d records", got-base)
+	}
+}
+
+// TestWALMultiRowInsertAtomic: a multi-row INSERT whose last row violates
+// the primary key leaves no row behind — not in memory, not in the primary
+// key index, and not in a checkpoint image taken afterwards.
+func TestWALMultiRowInsertAtomic(t *testing.T) {
+	dir := t.TempDir()
+	db := walTestDB(t, dir, WALOptions{})
+	if _, err := db.Exec("INSERT INTO kv VALUES (?, ?)", Text("k1"), Int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Exec("INSERT INTO kv VALUES (?, ?), (?, ?), (?, ?)",
+		Text("k2"), Int64(2), Text("k3"), Int64(3), Text("k1"), Int64(4))
+	if !errors.Is(err, ErrConstraint) {
+		t.Fatalf("duplicate key insert: err = %v, want ErrConstraint", err)
+	}
+	if n := kvCount(t, db); n != 1 {
+		t.Fatalf("failed insert left %d rows visible, want 1", n)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := walTestDB(t, dir, WALOptions{})
+	defer db2.Close()
+	if n := kvCount(t, db2); n != 1 {
+		t.Fatalf("reopen recovered %d rows, want 1", n)
+	}
+	// The rolled-back keys are free again.
+	if _, err := db2.Exec("INSERT INTO kv VALUES (?, ?), (?, ?)",
+		Text("k2"), Int64(2), Text("k3"), Int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if n := kvCount(t, db2); n != 3 {
+		t.Fatalf("rows = %d after reinsert, want 3", n)
 	}
 }
 
