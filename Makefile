@@ -90,14 +90,17 @@ FUZZTIME ?= 5s
 
 # Short coverage-guided fuzz of the hostile-input surfaces: the SQL
 # lexer/parser, the WAL record codec/replay, the packed scan-chain codec,
-# the page-delta checkpoint round-trip and the storage-chaos fault-schedule
-# codec. `go test -fuzz` takes one target per invocation, hence six runs.
+# the page-delta checkpoint round-trip, the Thor instruction decoder (a
+# fault can turn any word into a fetched instruction) and the storage-chaos
+# fault-schedule codec. `go test -fuzz` takes one target per invocation,
+# hence seven runs.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsPackUnpack$$' -fuzztime $(FUZZTIME) ./internal/scan
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDelta$$' -fuzztime $(FUZZTIME) ./internal/thor
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/thor
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultyVFS$$' -fuzztime $(FUZZTIME) ./internal/vfs
 
 # SIGKILL crash-recovery smoke: a handful of live campaigns killed at

@@ -11,6 +11,11 @@
 //
 //	goofi-bench -diff old.json [-tolerance 10] [-metrics ns,b,allocs] new.json
 //
+// The summary also records the host the benchmarks ran on (the goos, goarch
+// and cpu header lines, and GOMAXPROCS from the -N name suffix); -diff warns
+// on standard error when the two hosts differ or either is unknown, since
+// timings from different machines do not compare.
+//
 // -metrics selects which per-op metrics gate (all by default). Use
 // `-metrics ns` when the two runs used very different iteration counts:
 // one-off setup (minting worker targets, a forked campaign's golden run)
@@ -41,19 +46,30 @@ type Benchmark struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// File is the JSON document goofi-bench reads and writes.
+// Host is the machine a summary was measured on. GOMAXPROCS is 0 when the
+// benchmark names do not agree on one.
+type Host struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+// File is the JSON document goofi-bench reads and writes. Host is absent in
+// summaries written before it was recorded.
 type File struct {
+	Host       *Host       `json:"host,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "goofi-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("goofi-bench", flag.ContinueOnError)
 	in := fs.String("in", "", "go test -bench output to parse ('-' for stdin)")
 	out := fs.String("out", "", "write the JSON summary to this file (default stdout)")
@@ -80,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		if len(gate) == 0 {
 			return fmt.Errorf("-metrics selects nothing to gate")
 		}
-		return diffFiles(*diff, fs.Arg(0), *tolerance, gate, stdout)
+		return diffFiles(*diff, fs.Arg(0), *tolerance, gate, stdout, stderr)
 	}
 	if *in == "" {
 		return fmt.Errorf("-in is required (or use -diff)")
@@ -94,14 +110,14 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	benches, err := parseBench(r)
+	f, err := parseBench(r)
 	if err != nil {
 		return err
 	}
-	if len(benches) == 0 {
+	if len(f.Benchmarks) == 0 {
 		return fmt.Errorf("%s contains no benchmark result lines", *in)
 	}
-	doc, err := json.MarshalIndent(File{Benchmarks: benches}, "", "  ")
+	doc, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -113,28 +129,48 @@ func run(args []string, stdout io.Writer) error {
 	if err := os.WriteFile(*out, doc, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote %d benchmarks to %s\n", len(benches), *out)
+	fmt.Fprintf(stdout, "wrote %d benchmarks to %s\n", len(f.Benchmarks), *out)
 	return nil
 }
 
 // parseBench extracts benchmark result lines ("BenchmarkX-8  16  123 ns/op
-// 45 B/op  6 allocs/op") and averages repeated samples per name.
-func parseBench(r io.Reader) ([]Benchmark, error) {
+// 45 B/op  6 allocs/op") and averages repeated samples per name. The host
+// comes from the "goos:", "goarch:" and "cpu:" header lines and the -N
+// GOMAXPROCS suffix the names share; it is nil when none of those appear.
+func parseBench(r io.Reader) (File, error) {
 	type acc struct {
 		n                 int
 		ns, bytes, allocs float64
 	}
 	byName := map[string]*acc{}
 	var order []string
+	var host Host
+	procs := -1 // GOMAXPROCS suffix shared by every name so far; 0 if they differ
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ":"); ok {
+			switch val = strings.TrimSpace(val); key {
+			case "goos":
+				host.GOOS = val
+			case "goarch":
+				host.GOARCH = val
+			case "cpu":
+				host.CPU = val
+			}
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue // "Benchmark..." headline without an iteration count
+		}
+		if p := procsSuffix(fields[0]); procs == -1 {
+			procs = p
+		} else if p != procs {
+			procs = 0
 		}
 		a := byName[fields[0]]
 		if a == nil {
@@ -147,7 +183,7 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchmark line %q: %w", sc.Text(), err)
+				return File{}, fmt.Errorf("benchmark line %q: %w", line, err)
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -160,13 +196,20 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return File{}, err
 	}
-	out := make([]Benchmark, 0, len(order))
+	var f File
+	if procs > 0 {
+		host.GOMAXPROCS = procs
+	}
+	if host != (Host{}) {
+		f.Host = &host
+	}
+	f.Benchmarks = make([]Benchmark, 0, len(order))
 	for _, name := range order {
 		a := byName[name]
 		n := float64(a.n)
-		out = append(out, Benchmark{
+		f.Benchmarks = append(f.Benchmarks, Benchmark{
 			Name:        name,
 			Samples:     a.n,
 			NsPerOp:     a.ns / n,
@@ -174,13 +217,25 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 			AllocsPerOp: a.allocs / n,
 		})
 	}
-	return out, nil
+	return f, nil
+}
+
+// procsSuffix returns the GOMAXPROCS that go test appended to a benchmark
+// name as "-N", or 1 when there is none: go test omits it at GOMAXPROCS 1.
+func procsSuffix(name string) int {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return n
+		}
+	}
+	return 1
 }
 
 // diffFiles compares two JSON summaries and reports per-benchmark changes.
 // Any gated metric more than tolerance percent worse in the new file is
-// flagged as a regression and makes the exit status non-zero.
-func diffFiles(oldPath, newPath string, tolerance float64, gate map[string]bool, w io.Writer) error {
+// flagged as a regression and makes the exit status non-zero. A host
+// mismatch is only warned about on warn: it does not change the verdict.
+func diffFiles(oldPath, newPath string, tolerance float64, gate map[string]bool, w, warn io.Writer) error {
 	oldF, err := loadFile(oldPath)
 	if err != nil {
 		return err
@@ -188,6 +243,10 @@ func diffFiles(oldPath, newPath string, tolerance float64, gate map[string]bool,
 	newF, err := loadFile(newPath)
 	if err != nil {
 		return err
+	}
+	if oldF.Host == nil || newF.Host == nil || *oldF.Host != *newF.Host {
+		fmt.Fprintf(warn, "goofi-bench: warning: %s was measured on %s, %s on %s; timings from different hosts do not compare\n",
+			oldPath, oldF.Host, newPath, newF.Host)
 	}
 	oldBy := map[string]Benchmark{}
 	for _, b := range oldF.Benchmarks {
@@ -259,6 +318,14 @@ func loadFile(path string) (File, error) {
 		return File{}, fmt.Errorf("%s: no benchmarks", path)
 	}
 	return f, nil
+}
+
+// String describes the host in one line, for the -diff warning.
+func (h *Host) String() string {
+	if h == nil {
+		return "an unrecorded host"
+	}
+	return fmt.Sprintf("%s/%s %q GOMAXPROCS=%d", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS)
 }
 
 // pctChange is the relative increase of new over old in percent; 0 when old

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,10 +22,11 @@ ok  	goofi	1.234s
 `
 
 func TestParseBenchAverages(t *testing.T) {
-	benches, err := parseBench(strings.NewReader(sampleBench))
+	f, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
 	}
+	benches := f.Benchmarks
 	if len(benches) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(benches), benches)
 	}
@@ -50,12 +52,12 @@ func TestParseBenchAverages(t *testing.T) {
 }
 
 func TestParseBenchIgnoresNoise(t *testing.T) {
-	benches, err := parseBench(strings.NewReader("PASS\nok  \tgoofi\t0.1s\n"))
+	f, err := parseBench(strings.NewReader("PASS\nok  \tgoofi\t0.1s\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(benches) != 0 {
-		t.Fatalf("parsed %d benchmarks from noise, want 0", len(benches))
+	if len(f.Benchmarks) != 0 || f.Host != nil {
+		t.Fatalf("parsed %+v from noise, want nothing", f)
 	}
 }
 
@@ -67,7 +69,7 @@ func TestRunConvertWritesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-in", in, "-out", out}, &buf); err != nil {
+	if err := run([]string{"-in", in, "-out", out}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -90,7 +92,12 @@ func TestRunConvertWritesJSON(t *testing.T) {
 
 func writeSummary(t *testing.T, path string, benches []Benchmark) {
 	t.Helper()
-	raw, err := json.Marshal(File{Benchmarks: benches})
+	writeFile(t, path, File{Benchmarks: benches})
+}
+
+func writeFile(t *testing.T, path string, f File) {
+	t.Helper()
+	raw, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	})
 
 	var buf bytes.Buffer
-	err := run([]string{"-diff", oldPath, newPath}, &buf)
+	err := run([]string{"-diff", oldPath, newPath}, &buf, io.Discard)
 	if err == nil {
 		t.Fatalf("diff with a +50%% regression returned nil error; output:\n%s", buf.String())
 	}
@@ -135,10 +142,66 @@ func TestDiffCleanWithinTolerance(t *testing.T) {
 	writeSummary(t, newPath, benches)
 
 	var buf bytes.Buffer
-	if err := run([]string{"-diff", oldPath, newPath}, &buf); err != nil {
+	if err := run([]string{"-diff", oldPath, newPath}, &buf, io.Discard); err != nil {
 		t.Fatalf("identical summaries reported a regression: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "no regressions") {
 		t.Errorf("missing all-clear line:\n%s", buf.String())
+	}
+}
+
+func TestParseBenchHost(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     *Host
+	}{
+		{"headers and shared suffix", sampleBench,
+			&Host{GOOS: "linux", GOARCH: "amd64", CPU: "Some CPU @ 2.00GHz", GOMAXPROCS: 8}},
+		{"GOMAXPROCS 1 drops the suffix",
+			"goos: linux\nBenchmarkA/W4 \t 10\t 5 ns/op\nBenchmarkB \t 10\t 5 ns/op\n",
+			&Host{GOOS: "linux", GOMAXPROCS: 1}},
+		{"suffixes disagree",
+			"goos: linux\nBenchmarkA-2 \t 10\t 5 ns/op\nBenchmarkB-4 \t 10\t 5 ns/op\n",
+			&Host{GOOS: "linux"}},
+	} {
+		f, err := parseBench(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if f.Host == nil || *f.Host != *tc.want {
+			t.Errorf("%s: host = %v, want %+v", tc.name, f.Host, *tc.want)
+		}
+	}
+}
+
+func TestDiffWarnsOnHostMismatch(t *testing.T) {
+	dir := t.TempDir()
+	benches := []Benchmark{{Name: "BenchmarkA-2", Samples: 1, NsPerOp: 1000}}
+	hostA := &Host{GOOS: "linux", GOARCH: "amd64", CPU: "CPU A", GOMAXPROCS: 2}
+	hostB := &Host{GOOS: "linux", GOARCH: "amd64", CPU: "CPU B", GOMAXPROCS: 2}
+	paths := map[string]string{}
+	for name, h := range map[string]*Host{"a": hostA, "a2": hostA, "b": hostB, "none": nil} {
+		paths[name] = filepath.Join(dir, name+".json")
+		writeFile(t, paths[name], File{Host: h, Benchmarks: benches})
+	}
+	for _, tc := range []struct {
+		old, new string
+		warn     bool
+	}{
+		{"a", "a2", false},
+		{"a", "b", true},
+		{"none", "a", true},
+		{"a", "none", true},
+	} {
+		var out, warn bytes.Buffer
+		if err := run([]string{"-diff", paths[tc.old], paths[tc.new]}, &out, &warn); err != nil {
+			t.Errorf("%s vs %s: host mismatch changed the verdict: %v", tc.old, tc.new, err)
+		}
+		if got := strings.Contains(warn.String(), "warning"); got != tc.warn {
+			t.Errorf("%s vs %s: warned = %v, want %v; stderr %q", tc.old, tc.new, got, tc.warn, warn.String())
+		}
+		if strings.Contains(out.String(), "warning") {
+			t.Errorf("%s vs %s: warning went to stdout:\n%s", tc.old, tc.new, out.String())
+		}
 	}
 }

@@ -179,6 +179,8 @@ type CPU struct {
 
 // New builds a CPU from cfg.
 func New(cfg Config) (*CPU, error) {
+	// These checks leave MemSize and ROMSize at least 4, so the access checks
+	// can compare addr > size-4; addr+4 > size wraps at 0xFFFFFFFC.
 	switch {
 	case cfg.MemSize == 0 || cfg.MemSize%4 != 0:
 		return nil, fmt.Errorf("thor: MemSize %d must be a positive multiple of 4", cfg.MemSize)
@@ -282,7 +284,7 @@ func (c *CPU) OutPort(p int) uint32 { return c.outPorts[p&15] }
 // ReadWordHost reads a 32-bit word via the test-card port, without touching
 // caches, buses or EDMs.
 func (c *CPU) ReadWordHost(addr uint32) (uint32, error) {
-	if addr%4 != 0 || addr+4 > c.cfg.MemSize {
+	if addr%4 != 0 || addr > c.cfg.MemSize-4 {
 		return 0, fmt.Errorf("host read at %#x out of range", addr)
 	}
 	return binary.LittleEndian.Uint32(c.mem[addr:]), nil
@@ -292,7 +294,7 @@ func (c *CPU) ReadWordHost(addr uint32) (uint32, error) {
 // the ROM region (that is how workloads are downloaded and how pre-runtime
 // SWIFI injects faults into code).
 func (c *CPU) WriteWordHost(addr, v uint32) error {
-	if addr%4 != 0 || addr+4 > c.cfg.MemSize {
+	if addr%4 != 0 || addr > c.cfg.MemSize-4 {
 		return fmt.Errorf("host write at %#x out of range", addr)
 	}
 	binary.LittleEndian.PutUint32(c.mem[addr:], v)
@@ -330,7 +332,7 @@ func (c *CPU) detect(mechanism string, code int32) Status {
 
 // fetch reads the instruction word at PC through the instruction cache.
 func (c *CPU) fetch() (uint32, bool) {
-	if c.PC%4 != 0 || c.PC+4 > c.cfg.ROMSize {
+	if c.PC%4 != 0 || c.PC > c.cfg.ROMSize-4 {
 		c.detect(EDMControlFlow, 0)
 		return 0, false
 	}
@@ -352,7 +354,7 @@ func (c *CPU) fetch() (uint32, bool) {
 
 // loadWord reads a data word through the data cache.
 func (c *CPU) loadWord(addr uint32) (uint32, bool) {
-	if addr%4 != 0 || addr+4 > c.cfg.MemSize {
+	if addr%4 != 0 || addr > c.cfg.MemSize-4 {
 		c.detect(EDMAccess, 0)
 		return 0, false
 	}
@@ -388,7 +390,7 @@ func (c *CPU) loadWord(addr uint32) (uint32, bool) {
 
 // storeWord writes a data word (write-through, write-allocate).
 func (c *CPU) storeWord(addr, v uint32) bool {
-	if addr%4 != 0 || addr+4 > c.cfg.MemSize {
+	if addr%4 != 0 || addr > c.cfg.MemSize-4 {
 		c.detect(EDMAccess, 0)
 		return false
 	}

@@ -121,6 +121,18 @@ var validOps = map[Op]bool{
 	OpTRAP: true, OpIOW: true, OpIOR: true, OpSYNC: true, OpYIELD: true,
 }
 
+// opValid and opFormatI are validOps and formatI as opcode-indexed tables,
+// derived once at init. Decode runs once per simulated instruction; indexing
+// an array there costs a fraction of the map lookup it replaces.
+var opValid, opFormatI [256]bool
+
+func init() {
+	for op := range validOps {
+		opValid[op] = true
+		opFormatI[op] = formatI(op)
+	}
+}
+
 const (
 	imm12Min = -(1 << 11)
 	imm12Max = (1 << 11) - 1
@@ -130,14 +142,14 @@ const (
 
 // Encode packs an instruction into its 32-bit machine form.
 func Encode(in Instr) (Word, error) {
-	if !validOps[in.Op] {
+	if !opValid[in.Op] {
 		return 0, fmt.Errorf("encode: invalid opcode %#02x", uint8(in.Op))
 	}
 	if in.Rd < 0 || in.Rd >= NumRegs || in.Rs < 0 || in.Rs >= NumRegs || in.Rt < 0 || in.Rt >= NumRegs {
 		return 0, fmt.Errorf("encode %v: register out of range", in.Op)
 	}
 	w := Word(in.Op) << 24
-	if formatI(in.Op) {
+	if opFormatI[in.Op] {
 		if in.Imm < imm20Min || in.Imm > imm20Max {
 			return 0, fmt.Errorf("encode %v: imm20 %d out of range", in.Op, in.Imm)
 		}
@@ -159,25 +171,18 @@ func Encode(in Instr) (Word, error) {
 // CPU converts into an illegal-opcode detection.
 func Decode(w Word) (Instr, error) {
 	op := Op(w >> 24)
-	if !validOps[op] {
+	if !opValid[op] {
 		return Instr{}, fmt.Errorf("decode: illegal opcode %#02x", uint8(op))
 	}
 	in := Instr{Op: op, Rd: int((w >> 20) & 0xF)}
-	if formatI(op) {
-		imm := int32(w & 0xFFFFF)
-		if imm&(1<<19) != 0 {
-			imm -= 1 << 20
-		}
-		in.Imm = imm
+	if opFormatI[op] {
+		// Shift the immediate's sign bit to bit 31, then back arithmetically.
+		in.Imm = int32(w<<12) >> 12
 		return in, nil
 	}
 	in.Rs = int((w >> 16) & 0xF)
 	in.Rt = int((w >> 12) & 0xF)
-	imm := int32(w & 0xFFF)
-	if imm&(1<<11) != 0 {
-		imm -= 1 << 12
-	}
-	in.Imm = imm
+	in.Imm = int32(w<<20) >> 20
 	return in, nil
 }
 
