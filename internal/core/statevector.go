@@ -166,6 +166,54 @@ func (c *svCursor) bytes() ([]byte, error) {
 	return c.take(int(n))
 }
 
+// env decodes the environment history section. A first pass walks the
+// length prefixes, checking each iteration against the bytes actually left,
+// so nothing is ever sized from a claimed count; then every iteration is
+// filled into one exactly-sized backing array as a cap-clamped window.
+func (c *svCursor) env() ([][]uint32, error) {
+	nEnv, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	if nEnv > svMaxList {
+		return nil, fmt.Errorf("iteration count %d too large", nEnv)
+	}
+	walk := *c
+	words := 0
+	for i := uint32(0); i < nEnv; i++ {
+		n, err := walk.u32()
+		if err == nil && n > svMaxList {
+			err = fmt.Errorf("length %d too large", n)
+		}
+		if err == nil {
+			_, err = walk.take(4 * int(n))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("iteration %d: %w", i, err)
+		}
+		words += int(n)
+	}
+	if nEnv == 0 {
+		return nil, nil
+	}
+	vals := make([]uint32, words)
+	env := make([][]uint32, nEnv)
+	start := 0
+	for i := range env {
+		// The walk above proved every read below in bounds.
+		n, _ := c.u32()
+		b, _ := c.take(4 * int(n))
+		end := start + int(n)
+		iter := vals[start:end:end]
+		for j := range iter {
+			iter[j] = binary.LittleEndian.Uint32(b[4*j:])
+		}
+		env[i] = iter
+		start = end
+	}
+	return env, nil
+}
+
 // DecodeStateVector inverts Encode. Byte blocks in the result alias the
 // input slice; callers must not mutate data afterwards.
 func DecodeStateVector(data []byte) (*StateVector, error) {
@@ -216,22 +264,8 @@ func DecodeStateVector(data []byte) (*StateVector, error) {
 		}
 		sv.Memory = append(sv.Memory, MemWord{Addr: addr, Value: val})
 	}
-	nEnv, err := c.u32()
-	if err != nil || nEnv > svMaxList {
-		return fail("env count", err)
-	}
-	for i := uint32(0); i < nEnv; i++ {
-		n, err := c.u32()
-		if err != nil || n > svMaxList {
-			return fail("env iteration", err)
-		}
-		iter := make([]uint32, n)
-		for j := range iter {
-			if iter[j], err = c.u32(); err != nil {
-				return fail("env value", err)
-			}
-		}
-		sv.Env = append(sv.Env, iter)
+	if sv.Env, err = c.env(); err != nil {
+		return fail("env history", err)
 	}
 	nTrace, err := c.u32()
 	if err != nil || nTrace > svMaxList {

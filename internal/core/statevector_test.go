@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -164,4 +166,43 @@ func randName(rng *rand.Rand) string {
 		b[i] = letters[rng.Intn(len(letters))]
 	}
 	return string(b)
+}
+
+// hostileEnvBlobs are state vectors whose env section claims far more data
+// than the blob holds: a 1<<24-word first iteration, and 1<<24 iterations.
+// Both are 32 bytes long.
+func hostileEnvBlobs() map[string][]byte {
+	blob := func(words ...uint32) []byte {
+		b := []byte(svMagic)
+		b = binary.LittleEndian.AppendUint32(b, 0) // chains
+		b = binary.LittleEndian.AppendUint32(b, 0) // memory words
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	return map[string][]byte{
+		"huge-iteration": blob(4, svMaxList, 1, 2, 3),
+		"huge-count":     blob(svMaxList, 1, 7, 0, 0),
+	}
+}
+
+// TestDecodeStateVectorHostileEnvBounded pins that decoding never sizes an
+// allocation from a claimed env length: rows come from the database, and a
+// few corrupt bytes must not cost tens of MiB before the decode fails.
+func TestDecodeStateVectorHostileEnvBounded(t *testing.T) {
+	for name, data := range hostileEnvBlobs() {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeStateVector(data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("hostile blob decoded without error")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("decode allocated %d bytes for a %d-byte blob", grew, len(data))
+			}
+		})
+	}
 }

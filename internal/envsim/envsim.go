@@ -243,9 +243,15 @@ func (p *Pendulum) Angle() int64 { return p.angle }
 // produced. The campaign runner logs this trace so the analysis phase can
 // classify escaped errors of non-terminating workloads by comparing output
 // histories against the reference run (paper §3.4, "incorrect results").
+//
+// The recording is one flat log: vals holds every recorded word in iteration
+// order and ends[i] is len(vals) after iteration i, so iterations may differ
+// in width. Copying the whole history is two memmoves, not one allocation
+// per iteration.
 type Recorder struct {
-	inner   Simulator
-	history [][]uint32
+	inner Simulator
+	vals  []uint32
+	ends  []uint32
 }
 
 // NewRecorder wraps inner.
@@ -256,23 +262,28 @@ func (r *Recorder) Name() string { return r.inner.Name() }
 
 // Step implements Simulator, recording the outputs.
 func (r *Recorder) Step(outputs []uint32) []uint32 {
-	snap := make([]uint32, len(outputs))
-	copy(snap, outputs)
-	r.history = append(r.history, snap)
+	r.vals = append(r.vals, outputs...)
+	r.ends = append(r.ends, uint32(len(r.vals)))
 	return r.inner.Step(outputs)
 }
 
-// Reset implements Simulator and clears the recording.
+// Reset implements Simulator and clears the recording, keeping its buffers.
 func (r *Recorder) Reset() {
 	r.inner.Reset()
-	r.history = nil
+	r.vals = r.vals[:0]
+	r.ends = r.ends[:0]
 }
 
-// History returns the recorded output vectors in iteration order.
+// History returns the recorded output vectors in iteration order. The result
+// is a private copy: every iteration is a cap-clamped window of one fresh
+// array, so appending to one cannot overwrite the next.
 func (r *Recorder) History() [][]uint32 {
-	out := make([][]uint32, len(r.history))
-	for i, h := range r.history {
-		out[i] = append([]uint32(nil), h...)
+	vals := append([]uint32(nil), r.vals...)
+	out := make([][]uint32, len(r.ends))
+	start := uint32(0)
+	for i, end := range r.ends {
+		out[i] = vals[start:end:end]
+		start = end
 	}
 	return out
 }
@@ -331,16 +342,17 @@ func (*Echo) SaveState() any { return nil }
 func (*Echo) RestoreState(any) error { return nil }
 
 type recorderState struct {
-	history [][]uint32
-	inner   any
+	vals, ends []uint32
+	inner      any
 }
 
 // SaveState implements Stateful: the recording and, when the wrapped
-// simulator is itself Stateful, its state too.
+// simulator is itself Stateful, its state too. The snapshot owns its copy of
+// the recording.
 func (r *Recorder) SaveState() any {
-	st := recorderState{history: make([][]uint32, len(r.history))}
-	for i, h := range r.history {
-		st.history[i] = append([]uint32(nil), h...)
+	st := recorderState{
+		vals: append([]uint32(nil), r.vals...),
+		ends: append([]uint32(nil), r.ends...),
 	}
 	if s, ok := r.inner.(Stateful); ok {
 		st.inner = s.SaveState()
@@ -348,16 +360,16 @@ func (r *Recorder) SaveState() any {
 	return st
 }
 
-// RestoreState implements Stateful.
+// RestoreState implements Stateful. The snapshot is copied into the
+// recorder's own buffers, so the two never share memory and a warmed
+// recorder restores without allocating.
 func (r *Recorder) RestoreState(state any) error {
 	st, ok := state.(recorderState)
 	if !ok {
 		return fmt.Errorf("envsim: recorder cannot restore %T", state)
 	}
-	r.history = make([][]uint32, len(st.history))
-	for i, h := range st.history {
-		r.history[i] = append([]uint32(nil), h...)
-	}
+	r.vals = append(r.vals[:0], st.vals...)
+	r.ends = append(r.ends[:0], st.ends...)
 	if s, ok := r.inner.(Stateful); ok {
 		return s.RestoreState(st.inner)
 	}

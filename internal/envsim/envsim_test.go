@@ -327,3 +327,83 @@ func TestRestoreStateTypeMismatch(t *testing.T) {
 		t.Error("recorder accepted a foreign snapshot")
 	}
 }
+
+// TestRecorderHistoryIsPrivate pins History's copy contract across a
+// restore: a history taken earlier is not rewritten by RestoreState or by
+// later steps that reuse the recorder's buffers.
+func TestRecorderHistoryIsPrivate(t *testing.T) {
+	r := NewRecorder(NewJetEngine())
+	r.Step([]uint32{1, 2})
+	snap := r.SaveState()
+	r.Step([]uint32{3})
+	r.Step([]uint32{4, 5, 6})
+	h := r.History()
+	want := [][]uint32{{1, 2}, {3}, {4, 5, 6}}
+	if err := r.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		r.Step([]uint32{70 + uint32(i), 80})
+	}
+	if !reflect.DeepEqual(h, want) {
+		t.Fatalf("earlier history = %v, want %v", h, want)
+	}
+	// Each iteration is cap-clamped: appending to one leaves the next alone.
+	_ = append(h[0], 99)
+	if h[1][0] != 3 {
+		t.Fatalf("append to iteration 0 overwrote iteration 1: %v", h)
+	}
+}
+
+// TestRecorderSnapshotIsPrivate pins that a snapshot owns its recording:
+// stepping or resetting the recorder it came from does not change it.
+func TestRecorderSnapshotIsPrivate(t *testing.T) {
+	r := NewRecorder(NewEcho())
+	r.Step([]uint32{1})
+	r.Step([]uint32{2, 3})
+	snap := r.SaveState()
+	want := r.History()
+
+	r.Step([]uint32{4})
+	r.Reset()
+	r.Step([]uint32{5, 6, 7})
+	r.Step([]uint32{8})
+
+	fresh := NewRecorder(NewEcho())
+	if err := fresh.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.History(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot changed under its source: %v, want %v", got, want)
+	}
+	// Nor does stepping a recorder restored from it.
+	fresh.Step([]uint32{9})
+	if err := r.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.History(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot changed under a restored recorder: %v, want %v", got, want)
+	}
+}
+
+// TestRecorderRestoreZeroAlloc pins that a forked experiment's restore costs
+// two copies into buffers the recorder already owns, not one allocation per
+// recorded iteration.
+func TestRecorderRestoreZeroAlloc(t *testing.T) {
+	r := NewRecorder(NewJetEngine())
+	for i := 0; i < 960; i++ {
+		r.Step([]uint32{uint32(i)})
+	}
+	snap := r.SaveState()
+	for i := 0; i < 40; i++ {
+		r.Step([]uint32{uint32(i)})
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.RestoreState(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RestoreState allocated %v times per run, want 0", allocs)
+	}
+}
