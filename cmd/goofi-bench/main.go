@@ -11,8 +11,8 @@
 //
 //	goofi-bench -diff old.json [-tolerance 10] [-metrics ns,b,allocs] new.json
 //
-// The summary also records the host the benchmarks ran on (the goos, goarch
-// and cpu header lines, and GOMAXPROCS from the -N name suffix); -diff warns
+// The summary also records the host the benchmarks ran on (the goos, goarch,
+// cpu and nproc header lines, and GOMAXPROCS from the -N name suffix); -diff warns
 // on standard error when the two hosts differ or either is unknown, since
 // timings from different machines do not compare.
 //
@@ -47,11 +47,13 @@ type Benchmark struct {
 }
 
 // Host is the machine a summary was measured on. GOMAXPROCS is 0 when the
-// benchmark names do not agree on one.
+// benchmark names do not agree on one; NProc is 0 when the output carries no
+// "nproc:" header line.
 type Host struct {
 	GOOS       string `json:"goos,omitempty"`
 	GOARCH     string `json:"goarch,omitempty"`
 	CPU        string `json:"cpu,omitempty"`
+	NProc      int    `json:"nproc,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 }
 
@@ -135,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // parseBench extracts benchmark result lines ("BenchmarkX-8  16  123 ns/op
 // 45 B/op  6 allocs/op") and averages repeated samples per name. The host
-// comes from the "goos:", "goarch:" and "cpu:" header lines and the -N
+// comes from the "goos:", "goarch:", "cpu:" and "nproc:" header lines and the -N
 // GOMAXPROCS suffix the names share; it is nil when none of those appear.
 func parseBench(r io.Reader) (File, error) {
 	type acc struct {
@@ -158,6 +160,8 @@ func parseBench(r io.Reader) (File, error) {
 				host.GOARCH = val
 			case "cpu":
 				host.CPU = val
+			case "nproc":
+				host.NProc, _ = strconv.Atoi(val)
 			}
 		}
 		fields := strings.Fields(line)
@@ -325,7 +329,7 @@ func (h *Host) String() string {
 	if h == nil {
 		return "an unrecorded host"
 	}
-	return fmt.Sprintf("%s/%s %q GOMAXPROCS=%d", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS)
+	return fmt.Sprintf("%s/%s %q nproc=%d GOMAXPROCS=%d", h.GOOS, h.GOARCH, h.CPU, h.NProc, h.GOMAXPROCS)
 }
 
 // pctChange is the relative increase of new over old in percent; 0 when old

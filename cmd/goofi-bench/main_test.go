@@ -160,6 +160,9 @@ func TestParseBenchHost(t *testing.T) {
 		{"GOMAXPROCS 1 drops the suffix",
 			"goos: linux\nBenchmarkA/W4 \t 10\t 5 ns/op\nBenchmarkB \t 10\t 5 ns/op\n",
 			&Host{GOOS: "linux", GOMAXPROCS: 1}},
+		{"nproc header",
+			"nproc: 2\ngoos: linux\nBenchmarkA-2 \t 10\t 5 ns/op\n",
+			&Host{GOOS: "linux", NProc: 2, GOMAXPROCS: 2}},
 		{"suffixes disagree",
 			"goos: linux\nBenchmarkA-2 \t 10\t 5 ns/op\nBenchmarkB-4 \t 10\t 5 ns/op\n",
 			&Host{GOOS: "linux"}},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"goofi/internal/dbase"
 	"goofi/internal/target"
@@ -35,62 +34,16 @@ func RegisterTarget(store *dbase.Store, ops target.Operations, description strin
 		for _, b := range ci.Writable {
 			writable[b] = true
 		}
-		fields, err := chainFields(ops, ci)
-		if err != nil {
-			return err
-		}
-		for _, f := range fields {
+		for _, f := range ci.Fields {
 			rows = append(rows, dbase.LocationRow{
 				TestCardName: ops.Name(),
-				LocationName: ci.Name + "/" + f.name,
+				LocationName: ci.Name + "/" + f.Name,
 				ChainName:    ci.Name,
-				FirstBit:     f.firstBit,
-				Width:        f.width,
-				Writable:     writable[f.firstBit],
+				FirstBit:     f.FirstBit,
+				Width:        f.Width,
+				Writable:     writable[f.FirstBit],
 			})
 		}
 	}
 	return store.PutFaultLocations(rows)
-}
-
-type fieldSpan struct {
-	name     string
-	firstBit int
-	width    int
-}
-
-// chainFields reconstructs the chain's field layout from per-bit names
-// ("chain/field[i]"), grouping consecutive bits of the same field.
-func chainFields(ops target.Operations, ci target.ChainInfo) ([]fieldSpan, error) {
-	var (
-		out  []fieldSpan
-		cur  string
-		span fieldSpan
-	)
-	flush := func() {
-		if cur != "" {
-			out = append(out, span)
-		}
-	}
-	for bit := 0; bit < ci.Bits; bit++ {
-		name, err := ops.BitName(ci.Name, bit)
-		if err != nil {
-			return nil, fmt.Errorf("core: chain %s bit %d: %w", ci.Name, bit, err)
-		}
-		rest := strings.TrimPrefix(name, ci.Name+"/")
-		open := strings.LastIndexByte(rest, '[')
-		if open < 0 {
-			return nil, fmt.Errorf("core: malformed bit name %q", name)
-		}
-		field := rest[:open]
-		if field != cur {
-			flush()
-			cur = field
-			span = fieldSpan{name: field, firstBit: bit, width: 1}
-			continue
-		}
-		span.width++
-	}
-	flush()
-	return out, nil
 }

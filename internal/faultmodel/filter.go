@@ -69,20 +69,21 @@ func resolveChain(ops target.Operations, spec string) ([]Location, error) {
 	if info == nil {
 		return nil, fmt.Errorf("faultmodel: target has no chain %q", chainName)
 	}
-	var out []Location
-	for _, bit := range info.Writable {
-		if fieldName != "" {
-			name, err := ops.BitName(chainName, bit)
-			if err != nil {
-				return nil, err
-			}
-			// Names look like "chain/field[i]".
-			rest := strings.TrimPrefix(name, chainName+"/")
-			if !strings.HasPrefix(rest, fieldName+"[") {
-				continue
+	lo, hi := 0, info.Bits
+	if fieldName != "" {
+		lo, hi = 0, 0
+		for _, f := range info.Fields {
+			if f.Name == fieldName {
+				lo, hi = f.FirstBit, f.FirstBit+f.Width
+				break
 			}
 		}
-		out = append(out, Location{Domain: DomainScan, Chain: chainName, Bit: bit})
+	}
+	var out []Location
+	for _, bit := range info.Writable {
+		if bit >= lo && bit < hi {
+			out = append(out, Location{Domain: DomainScan, Chain: chainName, Bit: bit})
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("faultmodel: chain filter %q matches nothing", spec)

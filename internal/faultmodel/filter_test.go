@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"goofi/internal/target"
@@ -46,6 +47,21 @@ func TestFilterChainField(t *testing.T) {
 	name, err := ops.BitName(thor.ChainCore, locs[0].Bit)
 	if err != nil || name != "internal.core/R3[0]" {
 		t.Fatalf("first bit = %q, %v", name, err)
+	}
+
+	// R1 is a name prefix of R10–R15; the field must select only itself.
+	locs, err = Filter("chain:" + thor.ChainCore + "/R1").Resolve(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locs) != 32 {
+		t.Fatalf("R1 bits = %d, want 32", len(locs))
+	}
+	for i, l := range locs {
+		name, err := ops.BitName(thor.ChainCore, l.Bit)
+		if want := fmt.Sprintf("internal.core/R1[%d]", i); err != nil || name != want {
+			t.Fatalf("R1 bit %d = %q, %v; want %q", i, name, err, want)
+		}
 	}
 }
 

@@ -106,25 +106,27 @@ type WideEvent struct {
 // letting a runaway campaign hold gigabytes.
 const DefaultJournalCap = 1 << 16
 
-// Journal is a bounded, drop-counting ring of wide events. When full, the
-// oldest event is overwritten and Dropped is incremented — recent history
-// wins, and the drop counter keeps the loss honest. All methods are safe for
-// concurrent use and no-op on a nil *Journal.
+// Journal is a bounded, drop-counting ring of wide events. It grows on
+// demand up to its capacity; when full, the oldest event is overwritten and
+// Dropped is incremented — recent history wins, and the drop counter keeps
+// the loss honest. All methods are safe for concurrent use and no-op on a
+// nil *Journal.
 type Journal struct {
-	mu      sync.Mutex
-	buf     []WideEvent
-	start   int // ring index of the oldest buffered event
-	n       int // buffered events
-	seq     int64
-	dropped int64
+	mu       sync.Mutex
+	buf      []WideEvent // appended until len reaches capacity, then a ring
+	capacity int
+	start    int // ring index of the oldest buffered event
+	seq      int64
+	dropped  int64
 }
 
-// NewJournal builds a journal holding at most cap events (0 = default).
+// NewJournal builds a journal holding at most capacity events (0 = default).
+// Nothing is allocated until the first Emit.
 func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{buf: make([]WideEvent, capacity)}
+	return &Journal{capacity: capacity}
 }
 
 // Emit appends one event, assigning its Seq and stamping TimeNs with the
@@ -139,9 +141,8 @@ func (j *Journal) Emit(ev WideEvent) {
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq
-	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
-		j.n++
+	if len(j.buf) < j.capacity {
+		j.buf = append(j.buf, ev)
 	} else {
 		j.buf[j.start] = ev
 		j.start = (j.start + 1) % len(j.buf)
@@ -157,11 +158,9 @@ func (j *Journal) Events() []WideEvent {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]WideEvent, j.n)
-	for i := 0; i < j.n; i++ {
-		out[i] = j.buf[(j.start+i)%len(j.buf)]
-	}
-	return out
+	out := make([]WideEvent, 0, len(j.buf))
+	out = append(out, j.buf[j.start:]...)
+	return append(out, j.buf[:j.start]...)
 }
 
 // Len reports the buffered event count.
@@ -171,7 +170,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.buf)
 }
 
 // Dropped reports how many events were overwritten past the ring capacity.

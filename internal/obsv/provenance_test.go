@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,46 @@ func TestJournalRing(t *testing.T) {
 	}
 	if events[0].TimeNs == 0 {
 		t.Fatal("Emit did not stamp TimeNs")
+	}
+}
+
+// TestJournalLazyRing: a journal allocates nothing until events arrive,
+// grows by appending up to its capacity, then wraps as a ring that keeps the
+// newest events in Seq order and counts every overwrite.
+func TestJournalLazyRing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j := NewJournal(0)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("NewJournal(0) allocated %d bytes up front", grew)
+	}
+	if j.Len() != 0 || len(j.Events()) != 0 {
+		t.Fatal("fresh journal is not empty")
+	}
+
+	const capacity = 5
+	j = NewJournal(capacity)
+	for n := 1; n <= 12; n++ {
+		j.Emit(WideEvent{Kind: EvPlan})
+		first := max(1, n-capacity+1)
+		events := j.Events()
+		if len(events) != n-first+1 || j.Len() != len(events) {
+			t.Fatalf("after %d events: Len %d, Events %d, want %d", n, j.Len(), len(events), n-first+1)
+		}
+		for i, ev := range events {
+			if want := int64(first + i); ev.Seq != want {
+				t.Fatalf("after %d events: event %d has Seq %d, want %d", n, i, ev.Seq, want)
+			}
+		}
+		if want := int64(max(0, n-capacity)); j.Dropped() != want {
+			t.Fatalf("after %d events: Dropped = %d, want %d", n, j.Dropped(), want)
+		}
+		// Events hands out a copy; scribbling on it must not reach the ring.
+		events[0].Seq = -1
+		if j.Events()[0].Seq != int64(first) {
+			t.Fatalf("after %d events: Events shares the ring", n)
+		}
 	}
 }
 

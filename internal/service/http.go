@@ -265,50 +265,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleReport classifies a finished campaign and returns the analysis
-// report. The tenant store was closed when the campaign finished, so the
-// report reopens it read-only (replaying any WAL sidecar) and discards the
-// classification rows instead of saving them — the endpoint is idempotent.
+// handleReport returns the analysis report of a finished campaign, which
+// was classified when the campaign completed.
 func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 	id := reqID(req)
-	st, err := s.Status(id)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if st.Status != StatusDone {
-		writeJSON(w, http.StatusConflict, map[string]string{
-			"error": fmt.Sprintf("campaign %s is %s, not %s", id, st.Status, StatusDone),
-		})
-		return
-	}
-	rep, err := s.report(st)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// report runs the analysis against a freshly opened copy of the campaign's
-// store. The store is only touched from this request's goroutine.
-func (s *Server) report(st Status) (analysis.Report, error) {
 	s.mu.Lock()
-	j := s.jobs[st.ID]
-	var spec Spec
+	j := s.jobs[id]
+	var status string
+	var rep analysis.Report
+	var err error
 	if j != nil {
-		spec = j.spec
+		status, rep, err = j.status, j.report, j.reportErr
 	}
 	s.mu.Unlock()
-	if j == nil {
-		return analysis.Report{}, fmt.Errorf("%w: %s", ErrNotFound, st.ID)
+	switch {
+	case j == nil:
+		s.writeError(w, fmt.Errorf("%w: %s", ErrNotFound, id))
+	case status != StatusDone:
+		writeJSON(w, http.StatusConflict, map[string]string{
+			"error": fmt.Sprintf("campaign %s is %s, not %s", id, status, StatusDone),
+		})
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	default:
+		writeJSON(w, http.StatusOK, rep)
 	}
-	store, err := dbase.OpenStoreFS(s.tenantDBPath(spec), s.fsys)
-	if err != nil {
-		return analysis.Report{}, fmt.Errorf("service: reopen store for %s: %w", st.ID, err)
-	}
-	defer store.Close()
-	return analysis.Classify(store, spec.Campaign)
 }
 
 // handleTrace streams the campaign's provenance wide events as NDJSON in

@@ -13,6 +13,7 @@ import (
 
 	"sync"
 
+	"goofi/internal/analysis"
 	"goofi/internal/core"
 	"goofi/internal/dbase"
 	"goofi/internal/obsv"
@@ -84,6 +85,8 @@ type job struct {
 	status    string
 	errMsg    string
 	summary   core.Summary
+	report    analysis.Report // classified at completion; set with StatusDone
+	reportErr error
 	cancel    context.CancelFunc // non-nil while running
 	cancelled bool               // DELETE requested (distinguishes from drain)
 	done      chan struct{}      // closed on any terminal state
@@ -500,8 +503,8 @@ func ensureTarget(store *dbase.Store, ops target.Operations) error {
 }
 
 // runCampaign executes one campaign against its tenant store: open, register,
-// run (sharded or not), save, close. The store is only ever touched from this
-// goroutine — the SQL engine is not verified thread-safe.
+// run (sharded or not), classify, save, close. The store is only ever touched
+// from this goroutine — the SQL engine is not verified thread-safe.
 func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) {
 	store, err := s.openTenantStore(j.spec)
 	if err != nil {
@@ -529,6 +532,16 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 		r.MonitorInterval = s.opts.MonitorInterval
 		r.Logger = s.log
 		sum, err = r.Run(ctx)
+	}
+
+	// Classify a completed campaign while its store is open; the report is
+	// served from the job and its AnalysisResult rows are saved with the
+	// rest, as `goofi analyze` leaves them.
+	if err == nil {
+		rep, rerr := analysis.Classify(store, j.spec.Campaign)
+		s.mu.Lock()
+		j.report, j.reportErr = rep, rerr
+		s.mu.Unlock()
 	}
 
 	// Drain the provenance journal into the tenant store before saving. One

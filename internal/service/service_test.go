@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -241,6 +242,89 @@ func TestShardedServiceMatchesUnsharded(t *testing.T) {
 	got := tenantRows(t, dirB, sharded)
 	requireSameRows(t, want, got, "sharded reassembly")
 	checkGolden(t, "shard_golden.txt", rowsDigest(got))
+}
+
+// TestReportClassifiedAtCompletion: the served report is exactly a fresh
+// classification of the persisted rows, the tenant store already holds the
+// AnalysisResult rows a cross report reads, and a report asked for before
+// the campaign is done conflicts.
+func TestReportClassifiedAtCompletion(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, Options{DataDir: dir, Concurrency: 1})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			getReport := func(id string) (int, []byte) {
+				t.Helper()
+				resp, err := http.Get(srv.URL + "/campaigns/" + id + "/report")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, body
+			}
+
+			// A long campaign holds the only slot, so the one under test
+			// waits in the queue: neither may report yet.
+			blocker := testSpec("acme", "blocker", 8000, 1)
+			if _, err := s.Submit(blocker); err != nil {
+				t.Fatal(err)
+			}
+			waitRunning(t, s, blocker.ID())
+			spec := testSpec("acme", "rep", 13, 7)
+			spec.Shards = shards
+			if _, err := s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{blocker.ID(), spec.ID()} {
+				if code, body := getReport(id); code != http.StatusConflict {
+					t.Fatalf("report of unfinished %s = %d %s, want 409", id, code, body)
+				}
+			}
+			if _, err := s.Cancel(blocker.ID()); err != nil {
+				t.Fatal(err)
+			}
+			if st := waitStatus(t, s, spec.ID()); st.Status != StatusDone {
+				t.Fatalf("status = %s (%s)", st.Status, st.Error)
+			}
+
+			code, body := getReport(spec.ID())
+			if code != http.StatusOK {
+				t.Fatalf("report = %d %s", code, body)
+			}
+			var served analysis.Report
+			if err := json.Unmarshal(body, &served); err != nil {
+				t.Fatal(err)
+			}
+
+			store, err := dbase.OpenStoreFS(filepath.Join(dir, spec.Tenant, spec.Campaign+".db"), vfs.OS{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			// Cross reads the stored AnalysisResult rows and refuses a
+			// campaign that was never analysed.
+			cr, err := analysis.Cross(store, []string{spec.Campaign}, nil)
+			if err != nil {
+				t.Fatalf("cross report on the tenant store: %v", err)
+			}
+			if got := cr.Campaigns[0].Report; !reflect.DeepEqual(got, served) {
+				t.Fatalf("stored analysis differs from the served report:\nstored %+v\nserved %+v", got, served)
+			}
+			fresh, err := analysis.Classify(store, spec.Campaign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(served, fresh) {
+				t.Fatalf("served report differs from a fresh classification:\nserved %+v\nfresh  %+v", served, fresh)
+			}
+		})
+	}
 }
 
 // TestMultiTenantConcurrent storms the daemon with 8 campaigns across 4

@@ -18,7 +18,8 @@ import (
 //
 // Each shard gets its own private in-memory store (the SQL engine is not
 // verified thread-safe, so shards must not share one) pre-seeded with the
-// tenant store's already-logged rows, and a fresh target instance. Every
+// tenant store's target row and already-logged rows, and a fresh target
+// instance. Every
 // shard draws the complete seeded plan stream but executes only its own
 // indices, so the merged row set is bit-identical to a single-process run —
 // the pre-drawn-plan determinism argument, extended across stores.
@@ -39,13 +40,39 @@ func (s *Server) runSharded(ctx context.Context, j *job, tenant *dbase.Store) (c
 	for _, row := range existing {
 		existingNames[row.ExperimentName] = true
 	}
-	var campRow dbase.CampaignRow
-	haveCampRow := false
+	var campRow *dbase.CampaignRow
 	if len(existing) > 0 {
-		if campRow, err = tenant.GetCampaign(j.c.Name); err != nil {
+		row, err := tenant.GetCampaign(j.c.Name)
+		if err != nil {
 			return core.Summary{}, fmt.Errorf("service: %s: read campaign row: %w", j.spec.ID(), err)
 		}
-		haveCampRow = true
+		campRow = &row
+	}
+
+	// Set every shard up before starting any, so a set-up error leaves
+	// nothing running.
+	stores := make([]*dbase.Store, shards)
+	runners := make([]*core.Runner, shards)
+	var ts dbase.TargetSystem
+	for si := range runners {
+		ops, factory, err := buildTarget(j.spec)
+		if err != nil {
+			return core.Summary{}, err
+		}
+		if si == 0 {
+			if ts, err = tenant.GetTargetSystem(ops.Name()); err != nil {
+				return core.Summary{}, fmt.Errorf("service: %s: read target row: %w", j.spec.ID(), err)
+			}
+		}
+		if stores[si], err = shardStore(ts, campRow, existing); err != nil {
+			return core.Summary{}, err
+		}
+		r := core.NewRunner(ops, stores[si], j.c)
+		r.Factory = factory
+		r.Recorder = j.rec
+		r.Logger = s.log
+		r.ShardIndex, r.ShardCount = si, shards
+		runners[si] = r
 	}
 
 	// agg holds the latest progress of every shard; a ticker goroutine sums
@@ -60,56 +87,16 @@ func (s *Server) runSharded(ctx context.Context, j *job, tenant *dbase.Store) (c
 	aggDone := make(chan struct{})
 	go agg.loop(s.opts.MonitorInterval, stopAgg, aggDone)
 
-	stores := make([]*dbase.Store, shards)
 	sums := make([]core.Summary, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
-	for si := 0; si < shards; si++ {
-		mem, err := dbase.NewMemoryStore()
-		if err != nil {
-			close(stopAgg)
-			<-aggDone
-			return core.Summary{}, err
-		}
-		stores[si] = mem
-		ops, factory, err := buildTarget(j.spec)
-		if err != nil {
-			close(stopAgg)
-			<-aggDone
-			return core.Summary{}, err
-		}
-		if err := core.RegisterTarget(mem, ops, "campaign service shard"); err != nil {
-			close(stopAgg)
-			<-aggDone
-			return core.Summary{}, err
-		}
-		if haveCampRow {
-			if err := mem.PutCampaign(campRow); err != nil {
-				close(stopAgg)
-				<-aggDone
-				return core.Summary{}, err
-			}
-		}
-		if len(existing) > 0 {
-			if err := mem.PutExperiments(existing); err != nil {
-				close(stopAgg)
-				<-aggDone
-				return core.Summary{}, err
-			}
-		}
-
-		r := core.NewRunner(ops, mem, j.c)
-		r.Factory = factory
-		r.Recorder = j.rec
-		r.Logger = s.log
-		r.ShardIndex, r.ShardCount = si, shards
+	for si, r := range runners {
 		r.OnProgress = agg.observe(si)
-
 		wg.Add(1)
-		go func(si int, r *core.Runner) {
+		go func() {
 			defer wg.Done()
 			sums[si], errs[si] = r.Run(ctx)
-		}(si, r)
+		}()
 	}
 	wg.Wait()
 	close(stopAgg)
@@ -169,6 +156,31 @@ func (s *Server) runSharded(ctx context.Context, j *job, tenant *dbase.Store) (c
 		return sum, core.ErrStopped
 	}
 	return sum, nil
+}
+
+// shardStore builds one shard's private memory store, seeded from the tenant
+// store: the target row (the foreign-key parent of CampaignData), the
+// campaign row when the campaign is resuming, and the rows already logged.
+// The fault-location catalogue is not copied; shard runners never read it.
+func shardStore(ts dbase.TargetSystem, campRow *dbase.CampaignRow, existing []dbase.ExperimentRow) (*dbase.Store, error) {
+	mem, err := dbase.NewMemoryStore()
+	if err != nil {
+		return nil, err
+	}
+	if err := mem.PutTargetSystem(ts); err != nil {
+		return nil, err
+	}
+	if campRow != nil {
+		if err := mem.PutCampaign(*campRow); err != nil {
+			return nil, err
+		}
+	}
+	if len(existing) > 0 {
+		if err := mem.PutExperiments(existing); err != nil {
+			return nil, err
+		}
+	}
+	return mem, nil
 }
 
 // ensureTenantCampaignRow copies the campaign definition row from a shard

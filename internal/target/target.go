@@ -79,6 +79,18 @@ type ChainInfo struct {
 	Bits int
 	// Writable lists the bit positions a host write can change.
 	Writable []int
+	// Fields lays the chain out as named state elements in chain order;
+	// together they tile [0, Bits). These are the fault-location catalogue
+	// entries (§3.1).
+	Fields []FieldSpan
+}
+
+// FieldSpan is one named state element of a scan chain, e.g. "R3" at bits
+// [FirstBit, FirstBit+Width).
+type FieldSpan struct {
+	Name     string
+	FirstBit int
+	Width    int
 }
 
 // TraceEntry is one detail-mode log record: the core state after one
@@ -132,7 +144,8 @@ type Operations interface {
 	// WaitForTermination runs the workload to its end and classifies it.
 	WaitForTermination(spec TerminationSpec) (Termination, error)
 
-	// Chains inventories the target's scan chains.
+	// Chains inventories the target's scan chains. The slice may be shared
+	// between calls; callers must treat it as read-only.
 	Chains() []ChainInfo
 	// BitName names one chain bit ("chain/field[i]") for the fault-location
 	// catalogue.

@@ -24,6 +24,9 @@ type ThorTarget struct {
 	sys  *thor.System
 	tap  *scan.TAP
 	core *scan.Chain
+	// chains is the scan-chain inventory, built once with the TAP: state
+	// capture asks for it on every experiment.
+	chains []ChainInfo
 
 	w      workload.Spec
 	loaded bool
@@ -97,6 +100,7 @@ func (t *ThorTarget) InitTestCard() error {
 			return fmt.Errorf("target: %w", err)
 		}
 		t.sys, t.tap, t.core = sys, tap, core
+		t.chains = chainInventory(tap)
 	}
 	t.sys.CPU.Reset()
 	t.sys.CPU.ClearMemory()
@@ -347,15 +351,22 @@ func (t *ThorTarget) WriteScanChain(chain string, bits scan.Bits) error {
 	return err
 }
 
-// Chains inventories the TAP's scan chains in IR-code order.
-func (t *ThorTarget) Chains() []ChainInfo {
-	if t.tap == nil {
-		return nil
-	}
-	chains := t.tap.Chains()
+// Chains inventories the TAP's scan chains in IR-code order; nil before
+// InitTestCard.
+func (t *ThorTarget) Chains() []ChainInfo { return t.chains }
+
+// chainInventory describes every chain of the TAP, field layout included.
+func chainInventory(tap *scan.TAP) []ChainInfo {
+	chains := tap.Chains()
 	out := make([]ChainInfo, 0, len(chains))
 	for _, ch := range chains {
-		out = append(out, ChainInfo{Name: ch.Name(), Bits: ch.Length(), Writable: ch.WritableBits()})
+		ci := ChainInfo{Name: ch.Name(), Bits: ch.Length(), Writable: ch.WritableBits()}
+		bit := 0
+		for _, f := range ch.Fields() {
+			ci.Fields = append(ci.Fields, FieldSpan{Name: f.Name, FirstBit: bit, Width: f.Width})
+			bit += f.Width
+		}
+		out = append(out, ci)
 	}
 	return out
 }
