@@ -9,7 +9,7 @@ import (
 )
 
 // parseRegName recognises R0..R15 and the SP/LR aliases.
-func parseRegName(s string) (int, bool) {
+func parseRegName(s string) (uint8, bool) {
 	switch strings.ToUpper(s) {
 	case "SP":
 		return thor.RegSP, true
@@ -24,10 +24,10 @@ func parseRegName(s string) (int, bool) {
 	if err != nil || n < 0 || n >= thor.NumRegs {
 		return 0, false
 	}
-	return n, true
+	return uint8(n), true
 }
 
-func (a *assembler) reg(num int, s string) (int, error) {
+func (a *assembler) reg(num int, s string) (uint8, error) {
 	r, ok := parseRegName(strings.TrimSpace(s))
 	if !ok {
 		return 0, a.errf(num, "expected register, got %q", s)
@@ -132,7 +132,7 @@ func (a *assembler) evalTerm(num int, s string) (int64, error) {
 }
 
 // memOperand parses "[Rn]", "[Rn+expr]" or "[Rn-expr]".
-func (a *assembler) memOperand(num int, s string) (reg int, off int64, err error) {
+func (a *assembler) memOperand(num int, s string) (reg uint8, off int64, err error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
 		return 0, 0, a.errf(num, "expected memory operand [Rn+off], got %q", s)

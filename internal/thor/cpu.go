@@ -163,6 +163,7 @@ type CPU struct {
 
 	cfg       Config
 	mem       []byte
+	decoded   []decodedWord // predecode table, one entry per ROM word
 	icache    *Cache
 	dcache    *Cache
 	wdCounter uint64
@@ -175,6 +176,18 @@ type CPU struct {
 	syncHook  func(*CPU)
 	traceHook func(TraceRecord)
 	last      Events
+}
+
+// decodedWord caches Decode and regUse of the ROM word raw. Step uses an
+// entry only while the fetched word still equals raw, so a fault injected
+// into the I-cache or ROM, a host rewrite or a Restore simply misses and
+// decodes the word actually fetched; nothing ever invalidates the table.
+// The zero entry is the correct decode of word 0 (NOP), so a new table
+// needs no fill.
+type decodedWord struct {
+	raw           Word
+	in            Instr
+	read, written uint16
 }
 
 // New builds a CPU from cfg.
@@ -192,10 +205,11 @@ func New(cfg Config) (*CPU, error) {
 		return nil, fmt.Errorf("thor: stack region [%#x, %#x) invalid", cfg.StackLimit, cfg.StackBase)
 	}
 	c := &CPU{
-		cfg:    cfg,
-		mem:    make([]byte, cfg.MemSize),
-		icache: newCache(cfg.ICacheLines),
-		dcache: newCache(cfg.DCacheLines),
+		cfg:     cfg,
+		mem:     make([]byte, cfg.MemSize),
+		decoded: make([]decodedWord, cfg.ROMSize/4),
+		icache:  newCache(cfg.ICacheLines),
+		dcache:  newCache(cfg.DCacheLines),
 	}
 	c.Reset()
 	return c, nil
@@ -476,7 +490,7 @@ func (c *CPU) branchCond(op Op) bool {
 
 // regUse computes the read and write register bitmasks of an instruction.
 func regUse(in Instr) (read, written uint16) {
-	bit := func(r int) uint16 { return 1 << uint(r) }
+	bit := func(r uint8) uint16 { return 1 << r }
 	switch in.Op {
 	case OpMOV:
 		return bit(in.Rs), bit(in.Rd)
@@ -522,11 +536,18 @@ func (c *CPU) Step() Status {
 		return c.status
 	}
 	c.IR = raw
-	in, err := Decode(raw)
-	if err != nil {
-		return c.detect(EDMIllegalOpcode, 0)
+	// fetch succeeded, so PC is word-aligned and inside the ROM.
+	d := &c.decoded[c.PC/4]
+	if d.raw != raw {
+		in, err := Decode(raw)
+		if err != nil {
+			return c.detect(EDMIllegalOpcode, 0)
+		}
+		read, written := regUse(in)
+		*d = decodedWord{raw: raw, in: in, read: read, written: written}
 	}
-	c.last.RegsRead, c.last.RegsWritten = regUse(in)
+	in := d.in
+	c.last.RegsRead, c.last.RegsWritten = d.read, d.written
 
 	nextPC := c.PC + 4
 	switch in.Op {

@@ -607,12 +607,12 @@ func TestRandomProgramsNeverPanic(t *testing.T) {
 		c := mustCPU(t)
 		nWords := 256
 		for i := 0; i < nWords; i++ {
-			in := Instr{Op: ops[rng.Intn(len(ops))], Rd: rng.Intn(NumRegs)}
+			in := Instr{Op: ops[rng.Intn(len(ops))], Rd: uint8(rng.Intn(NumRegs))}
 			if formatI(in.Op) {
 				in.Imm = int32(rng.Intn(imm20Max-imm20Min+1) + imm20Min)
 			} else {
-				in.Rs = rng.Intn(NumRegs)
-				in.Rt = rng.Intn(NumRegs)
+				in.Rs = uint8(rng.Intn(NumRegs))
+				in.Rt = uint8(rng.Intn(NumRegs))
 				in.Imm = int32(rng.Intn(imm12Max-imm12Min+1) + imm12Min)
 			}
 			w, err := Encode(in)
@@ -642,10 +642,10 @@ func TestRandomProgramsDeterministic(t *testing.T) {
 		rng := newTestRand(seed)
 		c := mustCPU(t)
 		for i := 0; i < 200; i++ {
-			in := Instr{Op: OpADDI, Rd: rng.Intn(NumRegs), Rs: rng.Intn(NumRegs),
+			in := Instr{Op: OpADDI, Rd: uint8(rng.Intn(NumRegs)), Rs: uint8(rng.Intn(NumRegs)),
 				Imm: int32(rng.Intn(100))}
 			if i%7 == 0 {
-				in = Instr{Op: OpST, Rd: rng.Intn(NumRegs), Rs: 0, Imm: int32(0x7F0)}
+				in = Instr{Op: OpST, Rd: uint8(rng.Intn(NumRegs)), Rs: 0, Imm: int32(0x7F0)}
 				// Stores at [R0+0x7F0] hit ROM -> some runs detect early.
 			}
 			w, _ := Encode(in)

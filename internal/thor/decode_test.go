@@ -12,7 +12,7 @@ func referenceDecode(w Word) (Instr, error) {
 	if !validOps[op] {
 		return Instr{}, fmt.Errorf("decode: illegal opcode %#02x", uint8(op))
 	}
-	in := Instr{Op: op, Rd: int((w >> 20) & 0xF)}
+	in := Instr{Op: op, Rd: uint8((w >> 20) & 0xF)}
 	if formatI(op) {
 		imm := int32(w & 0xFFFFF)
 		if imm&(1<<19) != 0 {
@@ -21,8 +21,8 @@ func referenceDecode(w Word) (Instr, error) {
 		in.Imm = imm
 		return in, nil
 	}
-	in.Rs = int((w >> 16) & 0xF)
-	in.Rt = int((w >> 12) & 0xF)
+	in.Rs = uint8((w >> 16) & 0xF)
+	in.Rt = uint8((w >> 12) & 0xF)
 	imm := int32(w & 0xFFF)
 	if imm&(1<<11) != 0 {
 		imm -= 1 << 12

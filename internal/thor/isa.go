@@ -88,12 +88,13 @@ const (
 	FlagV uint8 = 1 << 3 // signed overflow
 )
 
-// Instr is a decoded instruction.
+// Instr is a decoded instruction. Its 8 bytes keep the CPU's per-word
+// predecode table small.
 type Instr struct {
 	Op  Op
-	Rd  int
-	Rs  int
-	Rt  int
+	Rd  uint8
+	Rs  uint8
+	Rt  uint8
 	Imm int32 // sign-extended imm12 (format R) or imm20 (format I)
 }
 
@@ -145,7 +146,7 @@ func Encode(in Instr) (Word, error) {
 	if !opValid[in.Op] {
 		return 0, fmt.Errorf("encode: invalid opcode %#02x", uint8(in.Op))
 	}
-	if in.Rd < 0 || in.Rd >= NumRegs || in.Rs < 0 || in.Rs >= NumRegs || in.Rt < 0 || in.Rt >= NumRegs {
+	if in.Rd >= NumRegs || in.Rs >= NumRegs || in.Rt >= NumRegs {
 		return 0, fmt.Errorf("encode %v: register out of range", in.Op)
 	}
 	w := Word(in.Op) << 24
@@ -174,14 +175,14 @@ func Decode(w Word) (Instr, error) {
 	if !opValid[op] {
 		return Instr{}, fmt.Errorf("decode: illegal opcode %#02x", uint8(op))
 	}
-	in := Instr{Op: op, Rd: int((w >> 20) & 0xF)}
+	in := Instr{Op: op, Rd: uint8(w>>20) & 0xF}
 	if opFormatI[op] {
 		// Shift the immediate's sign bit to bit 31, then back arithmetically.
 		in.Imm = int32(w<<12) >> 12
 		return in, nil
 	}
-	in.Rs = int((w >> 16) & 0xF)
-	in.Rt = int((w >> 12) & 0xF)
+	in.Rs = uint8(w>>16) & 0xF
+	in.Rt = uint8(w>>12) & 0xF
 	in.Imm = int32(w<<20) >> 20
 	return in, nil
 }

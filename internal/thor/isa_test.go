@@ -50,7 +50,7 @@ func TestEncodeRangeChecks(t *testing.T) {
 	bad := []Instr{
 		{Op: Op(0xEE)},
 		{Op: OpADD, Rd: 16},
-		{Op: OpADD, Rs: -1},
+		{Op: OpADD, Rs: 255},
 		{Op: OpLDI, Imm: imm20Max + 1},
 		{Op: OpLDI, Imm: imm20Min - 1},
 		{Op: OpADDI, Imm: imm12Max + 1},
@@ -78,12 +78,12 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func() bool {
 		op := ops[rng.Intn(len(ops))]
-		in := Instr{Op: op, Rd: rng.Intn(NumRegs)}
+		in := Instr{Op: op, Rd: uint8(rng.Intn(NumRegs))}
 		if formatI(op) {
 			in.Imm = int32(rng.Intn(imm20Max-imm20Min+1) + imm20Min)
 		} else {
-			in.Rs = rng.Intn(NumRegs)
-			in.Rt = rng.Intn(NumRegs)
+			in.Rs = uint8(rng.Intn(NumRegs))
+			in.Rt = uint8(rng.Intn(NumRegs))
 			in.Imm = int32(rng.Intn(imm12Max-imm12Min+1) + imm12Min)
 		}
 		w, err := Encode(in)
