@@ -89,16 +89,18 @@ cover:
 FUZZTIME ?= 5s
 
 # Short coverage-guided fuzz of the hostile-input surfaces: the SQL
-# lexer/parser, the WAL record codec/replay, the packed scan-chain codec,
+# lexer/parser, the SQL statement cache (differential against a fresh
+# parse), the WAL record codec/replay, the packed scan-chain codec,
 # the page-delta checkpoint round-trip, the Thor instruction decoder (a
 # fault can turn any word into a fetched instruction), the Thor predecode
 # table under ROM rewrites, I-cache flips and resets, the storage-chaos
 # fault-schedule codec and the logged state-vector codec (rows read back
 # from the database). `go test -fuzz` takes one target per invocation,
-# hence nine runs.
+# hence ten runs.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzStatementCache$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsPackUnpack$$' -fuzztime $(FUZZTIME) ./internal/scan
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDelta$$' -fuzztime $(FUZZTIME) ./internal/thor

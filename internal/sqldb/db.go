@@ -36,6 +36,10 @@ type DB struct {
 	tables map[string]*table // keyed by lower-cased name
 	order  []string          // creation order of lower-cased names
 
+	// stmts caches parsed statements by text: sharedStmts for every DB
+	// from New. Immutable once set.
+	stmts *stmtCache
+
 	// generation numbers the dump image this in-memory state extends; it is
 	// guarded by mu and advanced by every Save/Checkpoint.
 	generation uint64
@@ -63,6 +67,19 @@ type table struct {
 	rows    [][]Value
 	pkIndex map[string]int // PK key -> index in rows; nil when table has no PK
 	colIdx  map[string]int // lower-cased column name -> position
+	pkCols  []int          // positions of the PRIMARY KEY columns
+	fks     []fkRef        // def.ForeignKeys, resolved to column positions
+}
+
+// fkRef is one FOREIGN KEY constraint with its columns resolved to
+// positions when the table is built. A referenced table cannot be dropped
+// while a child references it, so the positions stay valid.
+type fkRef struct {
+	def     foreignKey
+	parent  string // lower-cased name of the referenced table
+	cols    []int  // positions in the child row
+	refCols []int  // positions in the parent row
+	toPK    bool   // the constraint references the parent's full PRIMARY KEY
 }
 
 // Result reports the effect of a non-query statement.
@@ -84,7 +101,7 @@ func (r *Rows) Len() int { return len(r.Data) }
 
 // New creates an empty database.
 func New() *DB {
-	return &DB{tables: make(map[string]*table)}
+	return &DB{tables: make(map[string]*table), stmts: sharedStmts}
 }
 
 // Exec parses and executes a statement that does not return rows.
@@ -97,7 +114,7 @@ func (db *DB) Exec(query string, args ...Value) (Result, error) {
 }
 
 func (db *DB) exec(query string, args []Value, logWAL bool) (Result, error) {
-	st, err := parse(query)
+	st, err := db.stmts.parse(query)
 	if err != nil {
 		return Result{}, fmt.Errorf("exec %q: %w", abbreviate(query), err)
 	}
@@ -251,7 +268,7 @@ func (db *DB) WALStats() WALStats {
 
 // Query parses and executes a SELECT, returning the materialised rows.
 func (db *DB) Query(query string, args ...Value) (*Rows, error) {
-	st, err := parse(query)
+	st, err := db.stmts.parse(query)
 	if err != nil {
 		return nil, fmt.Errorf("query %q: %w", abbreviate(query), err)
 	}
@@ -374,34 +391,43 @@ func (db *DB) execCreate(s *createTableStmt) error {
 		}
 		colIdx[lc] = i
 	}
+	t := &table{def: *s, colIdx: colIdx}
 	for _, pk := range s.PrimaryKey {
-		if _, ok := colIdx[strings.ToLower(pk)]; !ok {
+		i, ok := colIdx[strings.ToLower(pk)]
+		if !ok {
 			return fmt.Errorf("create table %s: PRIMARY KEY names unknown column %s", s.Name, pk)
 		}
+		t.pkCols = append(t.pkCols, i)
 	}
 	for _, fk := range s.ForeignKeys {
+		ref := fkRef{def: fk, parent: strings.ToLower(fk.RefTable)}
 		for _, c := range fk.Columns {
-			if _, ok := colIdx[strings.ToLower(c)]; !ok {
+			i, ok := colIdx[strings.ToLower(c)]
+			if !ok {
 				return fmt.Errorf("create table %s: FOREIGN KEY names unknown column %s", s.Name, c)
 			}
+			ref.cols = append(ref.cols, i)
 		}
 		// Self-references (e.g. LoggedSystemState.parentExperiment) resolve
 		// against the table being created.
-		refCols := colIdx
+		parent := t
 		if !strings.EqualFold(fk.RefTable, s.Name) {
-			ref, ok := db.tables[strings.ToLower(fk.RefTable)]
+			p, ok := db.tables[ref.parent]
 			if !ok {
 				return fmt.Errorf("create table %s: %w: referenced table %s", s.Name, ErrNoSuchTable, fk.RefTable)
 			}
-			refCols = ref.colIdx
+			parent = p
 		}
 		for _, rc := range fk.RefColumns {
-			if _, ok := refCols[strings.ToLower(rc)]; !ok {
+			i, ok := parent.colIdx[strings.ToLower(rc)]
+			if !ok {
 				return fmt.Errorf("create table %s: FOREIGN KEY references unknown column %s.%s", s.Name, fk.RefTable, rc)
 			}
+			ref.refCols = append(ref.refCols, i)
 		}
+		ref.toPK = sameColumns(fk.RefColumns, parent.def.PrimaryKey)
+		t.fks = append(t.fks, ref)
 	}
-	t := &table{def: *s, colIdx: colIdx}
 	if len(s.PrimaryKey) > 0 {
 		t.pkIndex = make(map[string]int)
 	}

@@ -43,12 +43,14 @@ func (db *DB) execInsert(s *insertStmt, args []Value) (Result, error) {
 // at the first failure. The caller holds the write lock.
 func (db *DB) insertValues(t *table, s *insertStmt, targets []int, args []Value) error {
 	env := &rowEnv{args: args}
+	w := db.newRowWriter(t)
+	filled := make([]bool, len(t.def.Columns))
 	for _, exprs := range s.Rows {
 		if len(exprs) != len(targets) {
 			return fmt.Errorf("%d values for %d columns", len(exprs), len(targets))
 		}
 		row := make([]Value, len(t.def.Columns))
-		filled := make([]bool, len(t.def.Columns))
+		clear(filled)
 		for i, e := range exprs {
 			v, err := evalExpr(e, env)
 			if err != nil {
@@ -62,7 +64,7 @@ func (db *DB) insertValues(t *table, s *insertStmt, targets []int, args []Value)
 				row[i] = *c.Default
 			}
 		}
-		if err := db.insertRow(t, row); err != nil {
+		if err := w.insert(row); err != nil {
 			return err
 		}
 	}
@@ -81,9 +83,28 @@ func (t *table) truncateRows(n int) {
 	t.rows = t.rows[:n]
 }
 
-// insertRow validates constraints and appends the row. The caller holds the
-// write lock.
-func (db *DB) insertRow(t *table, row []Value) error {
+// rowWriter validates and stores the rows of one statement. It holds what
+// the statement resolves once for all of its rows — the parent table of
+// each FOREIGN KEY — and a key buffer the rows share.
+type rowWriter struct {
+	t       *table
+	parents []*table // parents[i] is t.fks[i]'s table; nil when missing
+	key     []byte
+}
+
+// newRowWriter resolves t's FOREIGN KEY parents. The caller holds the write
+// lock for as long as it uses the writer.
+func (db *DB) newRowWriter(t *table) *rowWriter {
+	w := &rowWriter{t: t, parents: make([]*table, len(t.fks))}
+	for i := range t.fks {
+		w.parents[i] = db.tables[t.fks[i].parent]
+	}
+	return w
+}
+
+// insert validates constraints and appends the row.
+func (w *rowWriter) insert(row []Value) error {
+	t := w.t
 	// Type coercion and NOT NULL.
 	for i, c := range t.def.Columns {
 		v, err := coerce(row[i], c.Type)
@@ -97,11 +118,12 @@ func (db *DB) insertRow(t *table, row []Value) error {
 	}
 	// PRIMARY KEY uniqueness (and implicit NOT NULL).
 	if t.pkIndex != nil {
-		key, hasNull := t.pkKey(row)
+		var hasNull bool
+		w.key, hasNull = appendColsKey(w.key[:0], row, t.pkCols)
 		if hasNull {
 			return fmt.Errorf("%w: NULL in PRIMARY KEY of %s", ErrConstraint, t.def.Name)
 		}
-		if _, dup := t.pkIndex[key]; dup {
+		if _, dup := t.pkIndex[string(w.key)]; dup {
 			return fmt.Errorf("%w: duplicate PRIMARY KEY in %s", ErrConstraint, t.def.Name)
 		}
 	}
@@ -116,84 +138,85 @@ func (db *DB) insertRow(t *table, row []Value) error {
 			}
 		}
 	}
-	// FOREIGN KEYs: every non-NULL FK tuple must exist in the parent.
-	for _, fk := range t.def.ForeignKeys {
-		if err := db.checkFKParentExists(t, fk, row); err != nil {
-			return err
-		}
+	// The FK checks reuse the key buffer, so take the PK's string first.
+	var pk string
+	if t.pkIndex != nil {
+		pk = string(w.key)
+	}
+	if err := w.checkFKs(row); err != nil {
+		return err
 	}
 	if t.pkIndex != nil {
-		key, _ := t.pkKey(row)
-		t.pkIndex[key] = len(t.rows)
+		t.pkIndex[pk] = len(t.rows)
 	}
 	t.rows = append(t.rows, row)
 	return nil
 }
 
+// appendColsKey appends the key of row's values at cols, each
+// NUL-terminated, to dst. hasNull reports whether any of them is NULL.
+func appendColsKey(dst []byte, row []Value, cols []int) (key []byte, hasNull bool) {
+	for _, c := range cols {
+		v := row[c]
+		hasNull = hasNull || v.IsNull()
+		dst = append(appendKey(dst, v), 0)
+	}
+	return dst, hasNull
+}
+
 // pkKey builds the primary-key map key of a row. hasNull reports whether any
 // PK component is NULL.
 func (t *table) pkKey(row []Value) (string, bool) {
-	var sb strings.Builder
-	hasNull := false
-	for _, col := range t.def.PrimaryKey {
-		v := row[t.colIdx[strings.ToLower(col)]]
-		if v.IsNull() {
-			hasNull = true
-		}
-		sb.WriteString(v.key())
-		sb.WriteByte(0)
-	}
-	return sb.String(), hasNull
+	key, hasNull := appendColsKey(nil, row, t.pkCols)
+	return string(key), hasNull
 }
 
-func (db *DB) checkFKParentExists(t *table, fk foreignKey, row []Value) error {
-	parent, ok := db.tables[strings.ToLower(fk.RefTable)]
-	if !ok {
-		return fmt.Errorf("%w: referenced table %s missing", ErrForeignKey, fk.RefTable)
-	}
-	vals := make([]Value, len(fk.Columns))
-	anyNull := false
-	for i, c := range fk.Columns {
-		vals[i] = row[t.colIdx[strings.ToLower(c)]]
-		if vals[i].IsNull() {
-			anyNull = true
+// checkFKs verifies that every non-NULL FOREIGN KEY tuple of row exists in
+// its parent table.
+func (w *rowWriter) checkFKs(row []Value) error {
+	t := w.t
+	for i := range t.fks {
+		fk, parent := &t.fks[i], w.parents[i]
+		if parent == nil {
+			return fmt.Errorf("%w: referenced table %s missing", ErrForeignKey, fk.def.RefTable)
 		}
-	}
-	if anyNull {
-		return nil // SQL: NULL FK components satisfy the constraint
-	}
-	// Fast path: FK references the parent's full primary key.
-	if parent.pkIndex != nil && sameColumns(fk.RefColumns, parent.def.PrimaryKey) {
-		var sb strings.Builder
-		for _, v := range vals {
-			sb.WriteString(v.key())
-			sb.WriteByte(0)
+		var hasNull bool
+		w.key, hasNull = appendColsKey(w.key[:0], row, fk.cols)
+		if hasNull {
+			continue // SQL: NULL FK components satisfy the constraint
 		}
-		if _, found := parent.pkIndex[sb.String()]; found {
-			return nil
+		if fk.toPK {
+			if _, found := parent.pkIndex[string(w.key)]; found {
+				continue
+			}
+		} else if parent.hasTuple(fk.refCols, row, fk.cols) {
+			continue
 		}
 		return fmt.Errorf("%w: %s(%s) has no matching row in %s",
-			ErrForeignKey, t.def.Name, strings.Join(fk.Columns, ","), fk.RefTable)
+			ErrForeignKey, t.def.Name, strings.Join(fk.def.Columns, ","), fk.def.RefTable)
 	}
-	// Slow path: linear scan.
-	refIdx := make([]int, len(fk.RefColumns))
-	for i, c := range fk.RefColumns {
-		refIdx[i] = parent.colIdx[strings.ToLower(c)]
-	}
-	for _, prow := range parent.rows {
-		match := true
-		for i, ri := range refIdx {
-			if !prow[ri].Equal(vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return nil
+	return nil
+}
+
+// hasTuple reports whether some row of t holds, at positions cols, the
+// values src holds at srcCols (a linear scan).
+func (t *table) hasTuple(cols []int, src []Value, srcCols []int) bool {
+	for _, r := range t.rows {
+		if tupleEqual(r, cols, src, srcCols) {
+			return true
 		}
 	}
-	return fmt.Errorf("%w: %s(%s) has no matching row in %s",
-		ErrForeignKey, t.def.Name, strings.Join(fk.Columns, ","), fk.RefTable)
+	return false
+}
+
+// tupleEqual reports whether a's values at aCols equal b's at bCols.
+func tupleEqual(a []Value, aCols []int, b []Value, bCols []int) bool {
+	for i, c := range aCols {
+		if !a[c].Equal(b[bCols[i]]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameColumns(a, b []string) bool {
@@ -211,33 +234,13 @@ func sameColumns(a, b []string) bool {
 // checkNoChildReferences enforces RESTRICT semantics on delete/update of a
 // parent row.
 func (db *DB) checkNoChildReferences(parent *table, row []Value) error {
+	name := strings.ToLower(parent.def.Name)
 	for _, childKey := range db.order {
 		child := db.tables[childKey]
-		for _, fk := range child.def.ForeignKeys {
-			if !strings.EqualFold(fk.RefTable, parent.def.Name) {
-				continue
-			}
-			refIdx := make([]int, len(fk.RefColumns))
-			for i, c := range fk.RefColumns {
-				refIdx[i] = parent.colIdx[strings.ToLower(c)]
-			}
-			childIdx := make([]int, len(fk.Columns))
-			for i, c := range fk.Columns {
-				childIdx[i] = child.colIdx[strings.ToLower(c)]
-			}
-			for _, crow := range child.rows {
-				match := true
-				for i := range refIdx {
-					cv := crow[childIdx[i]]
-					if cv.IsNull() || !cv.Equal(row[refIdx[i]]) {
-						match = false
-						break
-					}
-				}
-				if match {
-					return fmt.Errorf("%w: row in %s still referenced by %s",
-						ErrForeignKey, parent.def.Name, child.def.Name)
-				}
+		for _, fk := range child.fks {
+			if fk.parent == name && child.hasTuple(fk.cols, row, fk.refCols) {
+				return fmt.Errorf("%w: row in %s still referenced by %s",
+					ErrForeignKey, parent.def.Name, child.def.Name)
 			}
 		}
 	}
@@ -312,6 +315,7 @@ func (db *DB) execUpdate(s *updateStmt, args []Value) (Result, error) {
 		changes = append(changes, change{rowIdx: ri, newRow: newRow})
 	}
 	// Validate.
+	w := db.newRowWriter(t)
 	for _, ch := range changes {
 		old := t.rows[ch.rowIdx]
 		for i, c := range t.def.Columns {
@@ -335,10 +339,8 @@ func (db *DB) execUpdate(s *updateStmt, args []Value) (Result, error) {
 				}
 			}
 		}
-		for _, fk := range t.def.ForeignKeys {
-			if err := db.checkFKParentExists(t, fk, ch.newRow); err != nil {
-				return Result{}, fmt.Errorf("update %s: %w", s.Table, err)
-			}
+		if err := w.checkFKs(ch.newRow); err != nil {
+			return Result{}, fmt.Errorf("update %s: %w", s.Table, err)
 		}
 	}
 	// Apply.
@@ -406,33 +408,16 @@ func (db *DB) execDelete(s *deleteStmt, args []Value) (Result, error) {
 // onlyDeletedReferences reports whether every child row referencing the given
 // parent row belongs to the same table and is itself being deleted.
 func (db *DB) onlyDeletedReferences(parent *table, row []Value, victims map[int]bool) bool {
+	name := strings.ToLower(parent.def.Name)
 	for _, childKey := range db.order {
 		child := db.tables[childKey]
-		for _, fk := range child.def.ForeignKeys {
-			if !strings.EqualFold(fk.RefTable, parent.def.Name) {
+		for _, fk := range child.fks {
+			if fk.parent != name {
 				continue
 			}
-			refIdx := make([]int, len(fk.RefColumns))
-			for i, c := range fk.RefColumns {
-				refIdx[i] = parent.colIdx[strings.ToLower(c)]
-			}
-			childIdx := make([]int, len(fk.Columns))
-			for i, c := range fk.Columns {
-				childIdx[i] = child.colIdx[strings.ToLower(c)]
-			}
 			for cri, crow := range child.rows {
-				match := true
-				for i := range refIdx {
-					cv := crow[childIdx[i]]
-					if cv.IsNull() || !cv.Equal(row[refIdx[i]]) {
-						match = false
-						break
-					}
-				}
-				if match {
-					if child != parent || !victims[cri] {
-						return false
-					}
+				if tupleEqual(crow, fk.cols, row, fk.refCols) && (child != parent || !victims[cri]) {
+					return false
 				}
 			}
 		}
@@ -711,20 +696,20 @@ func (db *DB) selectAggregate(s *selectStmt, je *joinedEnv, items []selectItem, 
 	}
 	groups := make(map[string]*groupBucket)
 	var order []string
+	var key []byte
 	err := je.enumerate(args, s.Where, func(env *rowEnv) error {
-		var key strings.Builder
+		key = key[:0]
 		for _, g := range s.GroupBy {
 			v, err := evalExpr(g, env)
 			if err != nil {
 				return err
 			}
-			key.WriteString(v.key())
-			key.WriteByte(0)
+			key = append(appendKey(key, v), 0)
 		}
-		k := key.String()
-		b, ok := groups[k]
+		b, ok := groups[string(key)]
 		if !ok {
 			b = &groupBucket{}
+			k := string(key)
 			groups[k] = b
 			order = append(order, k)
 		}
@@ -846,17 +831,16 @@ func sortRows(rows []sortableRow, keys []orderKey) {
 func distinctRows(data [][]Value) [][]Value {
 	seen := make(map[string]bool, len(data))
 	out := data[:0]
+	var key []byte
 	for _, row := range data {
-		var sb strings.Builder
+		key = key[:0]
 		for _, v := range row {
-			sb.WriteString(v.key())
-			sb.WriteByte(0)
+			key = append(appendKey(key, v), 0)
 		}
-		k := sb.String()
-		if seen[k] {
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out = append(out, row)
 	}
 	return out

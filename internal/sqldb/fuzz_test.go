@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -97,6 +98,57 @@ func FuzzLexer(f *testing.F) {
 				t.Fatalf("lex(%q): token %d offset %d not after previous %d", input, i, tok.pos, prev)
 			}
 			prev = tok.pos
+		}
+	})
+}
+
+// FuzzStatementCache is a differential check of the statement cache: each
+// fuzzed statement runs, with two sets of fuzz-derived arguments, on a
+// database that parses through a cache and on one that parses afresh.
+// Results, errors and final contents must agree, and the cached AST must
+// still equal a fresh parse after both executions.
+func FuzzStatementCache(f *testing.F) {
+	seeds := []string{
+		"INSERT INTO exp VALUES (?, ?, ?, ?, ?, ?), (?, ?, ?, ?, ?, ?)",
+		"INSERT INTO camp (name) VALUES (?)",
+		"SELECT name, run, cycles FROM exp WHERE campaign = ? AND cycles >= ? ORDER BY cycles DESC, name",
+		"SELECT e.name, c.descr FROM exp e LEFT JOIN camp c ON e.campaign = c.name WHERE c.name = ? LIMIT ? OFFSET ?",
+		"SELECT campaign, COUNT(*), AVG(cycles) FROM exp WHERE cycles BETWEEN ? AND ? GROUP BY campaign HAVING COUNT(*) > ?",
+		"SELECT DISTINCT -cycles, ? || name FROM exp WHERE name LIKE ? OR parent IS NOT NULL ORDER BY 1",
+		"UPDATE exp SET cycles = cycles * ?, parent = ? WHERE name = ? AND run = ?",
+		"DELETE FROM exp WHERE name IN (?, ?, 'e1') AND NOT cycles < ?",
+		"DELETE FROM camp WHERE name = ?",
+	}
+	for _, s := range seeds {
+		f.Add(s, int64(1), int64(-3), "c0")
+	}
+	f.Fuzz(func(t *testing.T, query string, a, b int64, s string) {
+		cached, fresh, c := cachedPair(t, 64<<10)
+		const rows = `INSERT INTO camp VALUES ('c0', 'zero'), ('c1', NULL);
+			INSERT INTO exp VALUES ('e0', 0, 'c0', 10, NULL, NULL), ('e1', 1, 'c1', -5, 'e0', 0),
+				('e2', 0, 'c0', 7, 'e1', 1);`
+		for _, db := range []*DB{cached, fresh} {
+			if err := db.ExecScript(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, args := range [][]Value{
+			{Int64(a), Text(s), Int64(b), Float64(float64(a) / 4), Null(), Text("c0"), Int64(0), Blob([]byte(s))},
+			{Text(s), Int64(b), Null(), Int64(a), Text("e1"), Float64(float64(b) / 2), Int64(1), Text("c1")},
+		} {
+			runBoth(t, cached, fresh, query, args...)
+		}
+		if cached.Dump() != fresh.Dump() {
+			t.Fatalf("%q: cached and fresh databases diverged", query)
+		}
+		if el, ok := c.byText[query]; ok {
+			want, err := parse(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := el.Value.(*stmtEntry).st; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: cached AST changed by execution", query)
+			}
 		}
 	})
 }

@@ -363,7 +363,11 @@ func (p *parser) parseInsert() (statement, error) {
 		if _, err := p.expect(tokSymbol, "("); err != nil {
 			return nil, err
 		}
+		// Rows after the first are sized to it, as VALUES rows share a width.
 		var row []exprNode
+		if len(st.Rows) > 0 {
+			row = make([]exprNode, 0, len(st.Rows[0]))
+		}
 		for {
 			e, err := p.parseExpr()
 			if err != nil {

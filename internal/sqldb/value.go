@@ -245,26 +245,26 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-// key returns a map key uniquely identifying the value for PRIMARY KEY and
-// GROUP BY purposes. Integers and reals that are numerically equal map to the
-// same key.
-func (v Value) key() string {
+// appendKey appends a key uniquely identifying v for PRIMARY KEY, FOREIGN
+// KEY, GROUP BY and DISTINCT purposes to dst. Integers and reals that are
+// numerically equal map to the same key ("i3" for both 3 and 3.0).
+func appendKey(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "n"
+		return append(dst, 'n')
 	case KindInt:
-		return "i" + strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.Int, 10)
 	case KindReal:
 		if v.Real == float64(int64(v.Real)) {
-			return "i" + strconv.FormatInt(int64(v.Real), 10)
+			return strconv.AppendInt(append(dst, 'i'), int64(v.Real), 10)
 		}
-		return "r" + strconv.FormatFloat(v.Real, 'b', -1, 64)
+		return strconv.AppendFloat(append(dst, 'r'), v.Real, 'b', -1, 64)
 	case KindText:
-		return "t" + v.Text
+		return append(append(dst, 't'), v.Text...)
 	case KindBlob:
-		return "b" + string(v.Blob)
+		return append(append(dst, 'b'), v.Blob...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

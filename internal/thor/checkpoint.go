@@ -1,6 +1,9 @@
 package thor
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // ckptPageSize is the granularity of delta memory images: a delta checkpoint
 // stores only the pages that differ from its base image. 256 bytes keeps the
@@ -24,7 +27,7 @@ func diffPages(base, mem []byte) []deltaPage {
 		if end > len(mem) {
 			end = len(mem)
 		}
-		if !bytesEqual(base[off:end], mem[off:end]) {
+		if !bytes.Equal(base[off:end], mem[off:end]) {
 			pages = append(pages, deltaPage{
 				index: off / ckptPageSize,
 				data:  append([]byte(nil), mem[off:end]...),
@@ -32,20 +35,6 @@ func diffPages(base, mem []byte) []deltaPage {
 		}
 	}
 	return pages
-}
-
-// bytesEqual is bytes.Equal without the import, kept local to the hot diff
-// loop.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // applyDelta overwrites dst's divergent pages from the delta list. dst must

@@ -148,13 +148,16 @@ func TestCheckpointDeltaShapeChecks(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointDelta round-trips the page-delta encoding over arbitrary
-// image pairs: applying diffPages(base, mem) onto a copy of base must
-// reproduce mem exactly.
+// FuzzCheckpointDelta checks the page-delta encoding over arbitrary image
+// pairs: diffPages(base, mem) must emit exactly the pages where the images
+// differ, in ascending order, and applying it onto a copy of base must
+// reproduce mem.
 func FuzzCheckpointDelta(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3}, []byte{9})
 	f.Add(bytes.Repeat([]byte{0xAA}, 3*ckptPageSize+17), bytes.Repeat([]byte{0x55}, 100))
+	// An image ending in a 20-byte page, overwritten in its last 4 bytes.
+	f.Add(bytes.Repeat([]byte{0x11}, 3*ckptPageSize+20), append([]byte{255}, bytes.Repeat([]byte{0x22}, 20)...))
 	f.Fuzz(func(t *testing.T, base, tail []byte) {
 		// Build mem as base with the fuzzer's tail spliced in at a
 		// tail-derived offset, so images agree on most pages and differ on a
@@ -170,9 +173,26 @@ func FuzzCheckpointDelta(f *testing.F) {
 		if !bytes.Equal(got, mem) {
 			t.Fatalf("delta round-trip mismatch: base=%d bytes, %d pages", len(base), len(pages))
 		}
-		maxPages := (len(base) + ckptPageSize - 1) / ckptPageSize
-		if len(pages) > maxPages {
-			t.Fatalf("%d delta pages for a %d-page image", len(pages), maxPages)
+		// Exactness: a page is emitted if and only if it differs.
+		emitted := make(map[int]bool, len(pages))
+		for i, p := range pages {
+			if i > 0 && p.index <= pages[i-1].index {
+				t.Fatalf("page %d emitted after page %d", p.index, pages[i-1].index)
+			}
+			emitted[p.index] = true
+		}
+		for off := 0; off < len(mem); off += ckptPageSize {
+			end := min(off+ckptPageSize, len(mem))
+			differs := !bytes.Equal(base[off:end], mem[off:end])
+			if idx := off / ckptPageSize; emitted[idx] != differs {
+				t.Fatalf("page %d: emitted=%t, differs from base=%t", idx, emitted[idx], differs)
+			}
+		}
+		for _, p := range pages {
+			off := p.index * ckptPageSize
+			if want := min(ckptPageSize, len(mem)-off); len(p.data) != want {
+				t.Fatalf("page %d holds %d bytes, want %d", p.index, len(p.data), want)
+			}
 		}
 	})
 }
