@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
@@ -309,7 +308,7 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 			psp.End()
 			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
 		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
+		name := r.experimentName(i)
 		if logged[name] {
 			sum.Skipped++
 			r.Recorder.Count("experiments.skipped", 1)
@@ -376,7 +375,7 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 		r.Recorder.Count("experiments.quarantined", 1)
 		r.logger().Warn("reference run hung; quarantining target and re-minting",
 			"campaign", c.Name, "watchdog", c.ExperimentTimeout)
-		nops, err := r.mintReplacement()
+		nops, err := r.mintTarget()
 		if err != nil {
 			break
 		}
@@ -445,9 +444,9 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 			targets[i] = ops
 		}
 	} else {
-		// Sequential forking executes on the runner's own target, like the
-		// plain sequential loop — or on the golden run's re-minted
-		// replacement when a hang retired the original.
+		// Sequential forking executes on the runner's own target, like a
+		// one-worker pool — or on the golden run's re-minted replacement
+		// when a hang retired the original.
 		targets[0] = gops
 	}
 	wk := make([]*forkWorker, workers)
@@ -475,8 +474,9 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 		})
 	}
 
-	resCh := make(chan parallelResult, workers)
+	resCh := make(chan poolResult, workers)
 	var halted atomic.Bool
+	stage := r.startLogStage()
 	var retiredOps atomic.Bool // the worker running on r.ops abandoned it to a hang
 	var wg sync.WaitGroup
 	for i := range wk {
@@ -490,25 +490,19 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 				if halted.Load() || r.checkpoint() != nil {
 					return
 				}
-				res := parallelResult{idx: j.idx, name: j.name}
+				res := poolResult{idx: j.idx, name: j.name}
 				gsp := r.Recorder.BeginGroup(j.name, tid)
 				res.out = r.runExperiment(w.ops, w.run, j.plan, j.idx, tid)
 				gsp.End()
-				if res.out.hung || res.out.failed {
+				if res.out.hung {
 					res.quarantined = true
 					if r.Recorder.Journal() != nil {
 						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "fork worker target retired; checkpoint pool invalidated")
 					}
-					if res.out.hung && w.ops == r.ops {
+					if w.ops == r.ops {
 						retiredOps.Store(true)
 					}
-					var nops target.Operations
-					var err error
-					if r.Factory == nil {
-						err = fmt.Errorf("core: no Runner.Factory to replace the quarantined target")
-					} else {
-						nops, err = r.mintReplacement()
-					}
+					nops, err := r.mintTarget()
 					// Quarantine invalidates the instance's checkpoint pool: the
 					// replacement gets a whole new worker with an empty pool, so
 					// nothing cached on the poisoned target survives. A fresh
@@ -521,7 +515,7 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 						}
 					}
 					if err != nil {
-						res.workerLost = true
+						res.lost = err
 						resCh <- res
 						return
 					}
@@ -537,135 +531,43 @@ func (r *Runner) runForked(tech technique, locs []faultmodel.Location, logged ma
 		close(resCh)
 	}()
 
-	// Logging stage: results arrive in completion order but are released to
-	// the store in plan order through a reorder buffer, so the logged row
+	// Results arrive in completion order but are released to the logging
+	// stage in plan order through a reorder buffer, so the logged row
 	// sequence matches a sequential, non-forking run.
-	var (
-		pending     []dbase.ExperimentRow
-		buffered    = make(map[int]dbase.ExperimentRow)
-		firstErr    error
-		condStop    bool
-		workersLost int
-	)
+	t := r.newTally(&sum, stage, func() { halted.Store(true) }, c.NExperiments, workers)
+	buffered := make(map[int]dbase.ExperimentRow)
 	frontier := 0 // next position in jobs (ascending plan order) to release
-	done := sum.Skipped
-	received := 0
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		defer fsp.End()
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = r.store.PutExperiments(pending); err == nil {
-				pending = pending[:0]
-				return
-			}
-			if attempt >= flushRetryLimit || !storeErrTransient(err) {
-				break
-			}
-			time.Sleep(flushRetryBackoff << attempt)
-		}
-		if firstErr == nil {
-			firstErr = err
-			halted.Store(true)
-		}
-	}
-	release := func() {
-		for frontier < len(jobs) {
-			row, ok := buffered[jobs[frontier].idx]
-			if !ok {
-				return
-			}
-			delete(buffered, jobs[frontier].idx)
-			pending = append(pending, row)
-			frontier++
-			if len(pending) >= maxLogBatch {
-				flush()
-			}
-		}
-	}
-	handle := func(res parallelResult) {
-		received++
-		sum.Retries += res.out.retries
-		if res.quarantined {
-			sum.Quarantined++
-			r.Recorder.Count("experiments.quarantined", 1)
-			r.logger().Warn("fork worker target quarantined; checkpoint pool invalidated",
-				"campaign", c.Name, "experiment", res.name)
-		}
-		if res.workerLost {
-			workersLost++
-			r.logger().Warn("fork worker retired; pool degraded",
-				"campaign", c.Name, "workersLost", workersLost, "workers", workers)
-		}
-		if res.out.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: experiment %d: %w", res.idx, res.out.err)
-				halted.Store(true)
-			}
-			return
-		}
-		if firstErr != nil {
-			return
+	for res := range resCh {
+		if !t.admit(res) {
+			continue
 		}
 		buffered[res.idx] = r.outcomeRow(res.name, "", res.out)
-		done++
-		label := r.accountOutcome(&sum, res.out)
-		r.report(r.progress(&sum, done, c.NExperiments, label))
-		if !condStop && r.StopCondition != nil && r.StopCondition(sum) {
-			condStop = true
-			halted.Store(true)
+		t.account(res)
+		for ; frontier < len(jobs); frontier++ {
+			row, ok := buffered[jobs[frontier].idx]
+			if !ok {
+				break
+			}
+			delete(buffered, jobs[frontier].idx)
+			stage.put(row)
 		}
-		release()
 	}
-	for {
-		var res parallelResult
-		var ok bool
-		select {
-		case res, ok = <-resCh:
-		default:
-			flush()
-			res, ok = <-resCh
-		}
-		if !ok {
-			break
-		}
-		handle(res)
-	}
-	release()
-	// Rows completed past a stop/halt gap are flushed too (ascending plan
+	// Rows completed past a stop/halt gap are logged too (ascending plan
 	// order): the resume scan skips them, exactly like the completion-order
-	// parallel engine.
-	if len(buffered) > 0 && firstErr == nil {
+	// pool.
+	if len(buffered) > 0 && t.firstErr == nil {
 		rest := make([]int, 0, len(buffered))
 		for idx := range buffered {
 			rest = append(rest, idx)
 		}
 		sort.Ints(rest)
 		for _, idx := range rest {
-			pending = append(pending, buffered[idx])
+			stage.put(buffered[idx])
 		}
 	}
-	flush()
-
+	err := t.finish(len(jobs))
 	if retiredOps.Load() {
 		*opsPoisoned = true
 	}
-	if firstErr != nil {
-		return sum, firstErr
-	}
-	if condStop {
-		return sum, nil
-	}
-	if received < len(jobs) {
-		r.report(r.progress(&sum, done, c.NExperiments, "stopped"))
-		if workersLost == workers {
-			return sum, fmt.Errorf("core: campaign %s: all %d fork workers lost their targets (%d quarantined); %d experiments not run",
-				c.Name, workers, sum.Quarantined, len(jobs)-received)
-		}
-		return sum, ErrStopped
-	}
-	return sum, nil
+	return sum, err
 }

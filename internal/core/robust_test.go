@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,18 +121,42 @@ func TestFlakyParallelCampaignDeterministic(t *testing.T) {
 
 // hangAt wraps a target and wedges forever (select{}) on every scan read of
 // one chosen experiment — a deterministic stand-in for a hung test card.
+// Once wedged, the abandoned attempt still owns the instance, so late counts
+// every further call the engine makes on it: the per-attempt reseed, the
+// power-up reset and the detail-mode switches, the calls an engine that
+// reused or reset the target would make first.
 type hangAt struct {
 	target.Operations
 	hangExp int
 	cur     int
+	wedged  atomic.Bool
+	late    atomic.Int32
+}
+
+func (h *hangAt) touch() {
+	if h.wedged.Load() {
+		h.late.Add(1)
+	}
 }
 
 func (h *hangAt) SeedExperiment(campaignSeed int64, experiment, attempt int) {
+	h.touch()
 	h.cur = experiment
+}
+
+func (h *hangAt) InitTestCard() error {
+	h.touch()
+	return h.Operations.InitTestCard()
+}
+
+func (h *hangAt) SetDetailMode(on bool) {
+	h.touch()
+	h.Operations.SetDetailMode(on)
 }
 
 func (h *hangAt) ReadScanChain(chain string) (scan.Bits, error) {
 	if h.cur == h.hangExp {
+		h.wedged.Store(true)
 		select {}
 	}
 	return h.Operations.ReadScanChain(chain)
@@ -155,7 +181,7 @@ func (f *countingFactory) New() (target.Operations, error) {
 	return f.mint(), nil
 }
 
-// TestSequentialHangQuarantinesTarget: in the sequential engine a watchdog
+// TestSequentialHangQuarantinesTarget: in a sequential campaign a watchdog
 // hang records a "hang" row, retires the poisoned target, and continues on a
 // factory-minted replacement; every other row matches a clean run.
 func TestSequentialHangQuarantinesTarget(t *testing.T) {
@@ -215,6 +241,38 @@ func TestSequentialHangWithoutFactory(t *testing.T) {
 	row, err := store.GetExperiment(c.Name + "/e0001")
 	if err != nil || row.TerminationReason != TermHang {
 		t.Fatalf("hang row = %+v, %v", row, err)
+	}
+}
+
+// TestHungTargetReceivesNoFurtherCall: once an attempt wedges on the
+// runner's own target in a sequential campaign, the engine never calls that
+// instance again — not for the next experiment and not for the closing
+// detail-mode reset — whether a Factory replaces it or the campaign ends.
+func TestHungTargetReceivesNoFurtherCall(t *testing.T) {
+	for _, withFactory := range []bool{false, true} {
+		t.Run(fmt.Sprintf("factory=%v", withFactory), func(t *testing.T) {
+			c := scifiCampaign("hung-untouched", 4)
+			c.ExperimentTimeout = 300 * time.Millisecond
+			ops, store := newEnv(t)
+			h := &hangAt{Operations: ops, hangExp: 1, cur: -2}
+			r := NewRunner(h, store, c)
+			if withFactory {
+				r.Factory = target.DefaultThorFactory()
+			}
+			sum, err := r.Run(context.Background())
+			if withFactory && (err != nil || sum.Completed != c.NExperiments) {
+				t.Fatalf("summary = %+v, err = %v", sum, err)
+			}
+			if !withFactory && (err == nil || !strings.Contains(err.Error(), "no Runner.Factory is set")) {
+				t.Fatalf("err = %v, want the missing-Factory error", err)
+			}
+			if !h.wedged.Load() {
+				t.Fatal("the target never wedged")
+			}
+			if n := h.late.Load(); n != 0 {
+				t.Fatalf("the hung target received %d calls after it wedged", n)
+			}
+		})
 	}
 }
 
@@ -295,15 +353,33 @@ func TestParallelDegradesWhenFactoryExhausted(t *testing.T) {
 	}
 }
 
+// startCounter wraps a target and counts, in a counter shared across a pool,
+// the experiments started on it (first attempts, reference run excluded).
+type startCounter struct {
+	target.Operations
+	n *atomic.Int32
+}
+
+func (c startCounter) SeedExperiment(campaignSeed int64, experiment, attempt int) {
+	if attempt == 0 && experiment >= 0 {
+		c.n.Add(1)
+	}
+}
+
+// errDiskFull is failingStore's permanent failure.
+var errDiskFull = errors.New("store: disk full")
+
 // failingStore wraps a CampaignStore and fails PutExperiments on a schedule:
 // the first failFirst calls fail transiently; every call after call number
-// permanentAfter (when > 0) fails permanently.
+// permanentAfter (when > 0) fails permanently. It records the names of the
+// rows it acknowledged.
 type failingStore struct {
 	CampaignStore
 	mu             sync.Mutex
 	calls          int
 	failFirst      int
 	permanentAfter int
+	acked          []string
 }
 
 func (s *failingStore) PutExperiments(rows []dbase.ExperimentRow) error {
@@ -314,85 +390,119 @@ func (s *failingStore) PutExperiments(rows []dbase.ExperimentRow) error {
 		return target.Transient(errors.New("store: connection glitch"))
 	}
 	if s.permanentAfter > 0 && s.calls > s.permanentAfter {
-		return errors.New("store: disk full")
+		return errDiskFull
 	}
-	return s.CampaignStore.PutExperiments(rows)
+	if err := s.CampaignStore.PutExperiments(rows); err != nil {
+		return err
+	}
+	for _, row := range rows {
+		s.acked = append(s.acked, row.ExperimentName)
+	}
+	return nil
+}
+
+func (s *failingStore) ackedNames() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.acked...)
 }
 
 // TestParallelFlushRetriesTransientStore: a store whose batched insert
-// glitches transiently must not lose rows — the flush keeps its batch and
-// retries with backoff.
+// glitches transiently must not lose rows at any pool width, the one-worker
+// (sequential) pool included — the logging stage keeps its batch and retries
+// with backoff.
 func TestParallelFlushRetriesTransientStore(t *testing.T) {
-	c := scifiCampaign("flush-retry", 10)
-	c.Workers = 2
-	ops, store := newEnv(t)
-	fs := &failingStore{CampaignStore: store, failFirst: 2}
-	r := NewRunner(ops, fs, c)
-	r.Factory = target.DefaultThorFactory()
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Completed != c.NExperiments {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if fs.calls < 3 {
-		t.Fatalf("store calls = %d, want the failed attempts plus a success", fs.calls)
-	}
-	rows := campaignRows(t, store, c.Name)
-	if len(rows) != c.NExperiments+1 {
-		t.Fatalf("rows = %d, want %d — the retried batch lost rows", len(rows), c.NExperiments+1)
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
+			c := scifiCampaign("flush-retry", 10)
+			c.Workers = w
+			ops, store := newEnv(t)
+			fs := &failingStore{CampaignStore: store, failFirst: 2}
+			r := NewRunner(ops, fs, c)
+			r.Factory = target.DefaultThorFactory()
+			sum, err := r.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Completed != c.NExperiments {
+				t.Fatalf("summary = %+v", sum)
+			}
+			if fs.calls < 3 {
+				t.Fatalf("store calls = %d, want the failed attempts plus a success", fs.calls)
+			}
+			rows := campaignRows(t, store, c.Name)
+			if len(rows) != c.NExperiments+1 {
+				t.Fatalf("rows = %d, want %d — the retried batch lost rows", len(rows), c.NExperiments+1)
+			}
+		})
 	}
 }
 
 // TestParallelStoreFailureThenResume: a mid-campaign permanent store failure
-// aborts the run; re-running against the recovered store resumes and the
-// final rows are bit-identical to an uninterrupted campaign.
+// halts dispatch and aborts the run with the store's error at every pool
+// width; every row the store acknowledged is kept, and re-running against
+// the recovered store resumes to rows bit-identical to an uninterrupted
+// campaign.
 func TestParallelStoreFailureThenResume(t *testing.T) {
-	c := scifiCampaign("store-crash", 40)
-	c.Workers = 4
-
-	opsRef, storeRef := newEnv(t)
-	cRef := c
-	if _, err := func() (Summary, error) {
-		r := NewRunner(opsRef, storeRef, cRef)
-		r.Factory = target.DefaultThorFactory()
-		return r.Run(context.Background())
-	}(); err != nil {
+	// The first batched insert lands and every later one fails. At most
+	// 2×maxLogBatch rows are accepted and not yet acknowledged, and the
+	// first batch holds at most maxLogBatch rows, so a pool of W that stops
+	// dispatching at the failure starts at most 3×maxLogBatch+W of these.
+	const n = 4 * maxLogBatch
+	c := scifiCampaign("store-crash", n)
+	_, storeRef := newEnv(t)
+	if _, err := NewRunner(target.NewDefaultThorTarget(), storeRef, c).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	ops, store := newEnv(t)
-	// The first batched insert lands, every later one fails permanently:
-	// with 40 experiments the 32-row batch cap guarantees at least two
-	// insert calls, so the campaign must abort mid-flight.
-	fs := &failingStore{CampaignStore: store, permanentAfter: 1}
-	r := NewRunner(ops, fs, c)
-	r.Factory = target.DefaultThorFactory()
-	if _, err := r.Run(context.Background()); err == nil || errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want the store failure", err)
-	}
-
-	ops2 := target.NewDefaultThorTarget()
-	r2 := NewRunner(ops2, store, c)
-	r2.Factory = target.DefaultThorFactory()
-	sum, err := r2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Skipped+sum.Completed != c.NExperiments {
-		t.Fatalf("resume summary = %+v", sum)
-	}
-
 	want := campaignRows(t, storeRef, c.Name)
-	got := campaignRows(t, store, c.Name)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("row %d (%s) differs from the uninterrupted run", i, want[i].ExperimentName)
-		}
+
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
+			c := c
+			c.Workers = w
+			ops, store := newEnv(t)
+			var started atomic.Int32
+			fs := &failingStore{CampaignStore: store, permanentAfter: 1}
+			r := NewRunner(startCounter{ops, &started}, fs, c)
+			r.Factory = target.FactoryFunc(func() (target.Operations, error) {
+				return startCounter{target.NewDefaultThorTarget(), &started}, nil
+			})
+			_, err := r.Run(context.Background())
+			if !errors.Is(err, errDiskFull) {
+				t.Fatalf("err = %v, want the store failure", err)
+			}
+			if got := int(started.Load()); got > 3*maxLogBatch+w {
+				t.Fatalf("%d of %d experiments started after the store failed: dispatch did not stop", got, n)
+			}
+			logged, err := store.ExperimentNames(c.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range fs.ackedNames() {
+				if !logged[name] {
+					t.Errorf("acknowledged row %s is not in the store", name)
+				}
+			}
+
+			r2 := NewRunner(target.NewDefaultThorTarget(), store, c)
+			r2.Factory = target.DefaultThorFactory()
+			sum2, err := r2.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum2.Skipped+sum2.Completed != c.NExperiments {
+				t.Fatalf("resume summary = %+v", sum2)
+			}
+			got := campaignRows(t, store, c.Name)
+			if len(got) != len(want) {
+				t.Fatalf("rows = %d, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("row %d (%s) differs from the uninterrupted run", i, want[i].ExperimentName)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
@@ -114,7 +115,9 @@ type Runner struct {
 	campaign Campaign
 
 	// OnProgress, when set, is called after the reference run and after
-	// every experiment. It runs on the Run goroutine.
+	// every experiment. It runs on the Run goroutine. An experiment's event
+	// may come before its row is durable; Run returns only after every
+	// accounted row has been acknowledged by the store.
 	OnProgress func(Progress)
 
 	// PlanFunc, when set, replaces the fault model's default sampling. The
@@ -130,10 +133,11 @@ type Runner struct {
 
 	// Factory, when set, supplies independent target instances for parallel
 	// execution (Campaign.Workers > 1): one target per worker, so
-	// experiments share no simulator state. The runner's own ops still
-	// performs validation and the reference run. The fault-tolerance layer
-	// also uses it to replace targets poisoned by a hang (sequential and
-	// parallel alike).
+	// experiments share no simulator state. The runner's own ops performs
+	// validation and the reference run, and is the target of a one-worker
+	// (sequential) campaign, which needs no Factory. The fault-tolerance
+	// layer also uses it to replace targets poisoned by a hang, whatever the
+	// width; without it a hang ends a sequential campaign.
 	Factory target.Factory
 
 	// Recorder, when set, collects engine-level observability: plan drawing,
@@ -325,7 +329,8 @@ func (r *Runner) runAttempt(ops target.Operations, run Algorithm, plan faultmode
 // verdict when the watchdog fires, and a permanent error otherwise. Retries
 // reuse the already-drawn plan, so the campaign's seeded plan stream is never
 // consumed by fault tolerance. tid is the virtual thread the experiment's
-// engine-level spans are recorded under (0 = sequential/coordinator).
+// engine-level spans are recorded under (0 = the coordinator's reference
+// run, w+1 = pool worker w).
 func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultmodel.Plan, idx int, tid int32) runOutcome {
 	c := r.campaign
 	journal := r.Recorder.Journal()
@@ -431,9 +436,17 @@ func attemptDetail(exp Experiment, err error) string {
 	}
 }
 
-// mintReplacement quarantines a retired target by minting a fresh instance
-// from the Factory and preparing it for campaign duty.
-func (r *Runner) mintReplacement() (target.Operations, error) {
+// errNoFactory is why a runner without a Factory cannot replace a target
+// that a hang retired.
+var errNoFactory = errors.New("core: no Runner.Factory is set to replace the abandoned target")
+
+// mintTarget mints a fresh target instance from the Factory and prepares it
+// for campaign duty: a pool worker's target, or the replacement for one a
+// hang retired.
+func (r *Runner) mintTarget() (target.Operations, error) {
+	if r.Factory == nil {
+		return nil, errNoFactory
+	}
 	ops, err := r.Factory.New()
 	if err != nil {
 		return nil, err
@@ -513,9 +526,10 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 	return sum, err
 }
 
-// execute runs the validated campaign: reference run, then the sequential or
-// parallel experiment loop. Split from Run so monitoring setup/teardown
-// brackets the whole execution on the Run goroutine.
+// execute runs the validated campaign: reference run, then the worker pool
+// (runPool) or the checkpoint-forking engine (runForked). Split from Run so
+// monitoring setup/teardown brackets the whole execution on the Run
+// goroutine.
 func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.Location) (Summary, error) {
 	c := r.campaign
 
@@ -596,89 +610,7 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 		r.report(r.progress(&sum, 0, r.ownedTotal(), "reference "+out.exp.Term.Reason.String()))
 	}
 
-	if c.Workers > 1 {
-		return r.runParallel(tech, locs, logged, sum)
-	}
-
-	ops := r.ops
-	total := r.ownedTotal()
-	journal := r.Recorder.Journal()
-	rng := rand.New(rand.NewSource(c.Seed))
-	for i := 0; i < c.NExperiments; i++ {
-		if err := r.checkpoint(); err != nil {
-			// Final tick on Stop/ctx-cancel: the progress consumer must see
-			// the true completed count, not the last pre-stop snapshot.
-			r.report(r.progress(&sum, sum.Completed+sum.Skipped, total, "stopped"))
-			return sum, err
-		}
-		planFn := c.Model.Plan
-		if r.PlanFunc != nil {
-			planFn = r.PlanFunc
-		}
-		// The plan is drawn even for experiments that are skipped on
-		// resume — and for indices owned by other shards — keeping the PRNG
-		// stream aligned so a resumed or sharded campaign is bit-identical
-		// to an uninterrupted single-process one.
-		psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
-		psp.End()
-		if err != nil {
-			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		if !r.owns(i) {
-			continue
-		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
-		if logged[name] {
-			sum.Skipped++
-			r.Recorder.Count("experiments.skipped", 1)
-			continue
-		}
-		if journal != nil {
-			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
-		}
-		gsp := r.Recorder.BeginGroup(name, 0)
-		out := r.runExperiment(ops, tech.run, plan, i, 0)
-		gsp.End()
-		sum.Retries += out.retries
-		if out.err != nil {
-			return sum, fmt.Errorf("core: experiment %d: %w", i, out.err)
-		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		err = r.putExperiment(r.outcomeRow(name, "", out))
-		fsp.End()
-		if err != nil {
-			return sum, err
-		}
-		label := r.accountOutcome(&sum, out)
-		r.report(r.progress(&sum, sum.Completed+sum.Skipped, total, label))
-		if out.hung {
-			// The hung attempt's goroutine may still be running on ops:
-			// quarantine the instance and continue on a replacement.
-			if ops == r.ops {
-				opsPoisoned = true
-			}
-			if r.Factory == nil {
-				return sum, fmt.Errorf("core: experiment %d hung (watchdog %v) and no Runner.Factory is set to replace the abandoned target",
-					i, c.ExperimentTimeout)
-			}
-			nops, err := r.mintReplacement()
-			if err != nil {
-				return sum, fmt.Errorf("core: experiment %d: replace hung target: %w", i, err)
-			}
-			r.logger().Warn("experiment hung; target quarantined",
-				"campaign", c.Name, "experiment", name, "watchdog", c.ExperimentTimeout)
-			if journal != nil {
-				r.traceCtx(name, i, 0, 0).Emit(obsv.EvQuarantine, "hung target replaced")
-			}
-			ops = nops
-			sum.Quarantined++
-		}
-		if r.StopCondition != nil && r.StopCondition(sum) {
-			return sum, nil
-		}
-	}
-	return sum, nil
+	return r.runPool(tech, locs, logged, sum, &opsPoisoned)
 }
 
 // accountOutcome folds one concluded experiment into the running summary and
@@ -729,31 +661,33 @@ func outcomeOf(exp Experiment) string {
 	return outcome
 }
 
-// parallelJob is one pre-planned experiment awaiting a worker.
-type parallelJob struct {
+// poolJob is one pre-planned experiment awaiting a worker.
+type poolJob struct {
 	idx  int
 	name string
 	plan faultmodel.Plan
 }
 
-// parallelResult is one concluded experiment on its way to the logging stage.
-type parallelResult struct {
+// poolResult is one concluded experiment on its way to the coordinator.
+type poolResult struct {
 	idx  int
 	name string
 	out  runOutcome
 	// quarantined marks that the worker retired its target after this job.
 	quarantined bool
-	// workerLost marks that no replacement could be minted and the worker
-	// retired itself, degrading the pool.
-	workerLost bool
+	// lost is why no replacement target could be minted: the worker retired
+	// itself, degrading the pool.
+	lost error
 }
 
-// maxLogBatch caps how many experiment rows accumulate before the logging
-// stage flushes them in one batched insert.
+// maxLogBatch caps how many experiment rows the logging stage writes in one
+// batched insert; a power of two, so a full batch is one write. It is also
+// the capacity of the stage's queue, so at most 2×maxLogBatch rows are ever
+// accepted and not yet acknowledged by the store.
 const maxLogBatch = 32
 
-// flushRetryLimit and flushRetryBackoff bound the logging stage's retries of
-// a transiently failing store before the campaign aborts.
+// flushRetryLimit and flushRetryBackoff bound the retries of a transiently
+// failing store before the campaign aborts.
 const (
 	flushRetryLimit   = 3
 	flushRetryBackoff = 5 * time.Millisecond
@@ -769,42 +703,136 @@ func storeErrTransient(err error) bool {
 	return target.IsTransient(err) || vfs.IsTransient(err)
 }
 
-// putExperiment logs one row, absorbing transient store faults with the same
-// bounded backoff as the parallel flush stage — the sequential path (the CLI
-// default, Workers=1) must not abort a campaign on one transient disk fault.
-func (r *Runner) putExperiment(row dbase.ExperimentRow) error {
-	var err error
+// retryStore runs one store write, absorbing transient store faults with
+// bounded exponential backoff; a campaign must not abort on one transient
+// disk fault.
+func retryStore(put func() error) error {
 	for attempt := 0; ; attempt++ {
-		if err = r.store.PutExperiment(row); err == nil {
-			return nil
-		}
-		if attempt >= flushRetryLimit || !storeErrTransient(err) {
+		err := put()
+		if err == nil || attempt >= flushRetryLimit || !storeErrTransient(err) {
 			return err
 		}
 		time.Sleep(flushRetryBackoff << attempt)
 	}
 }
 
-// runParallel is the worker-pool campaign engine. Every injection plan is
+// putExperiment logs one row outside a running pool (the reference run, a
+// detail rerun).
+func (r *Runner) putExperiment(row dbase.ExperimentRow) error {
+	return retryStore(func() error { return r.store.PutExperiment(row) })
+}
+
+// logStage is the logging stage of a running campaign: one goroutine that
+// makes every experiment-row write to the store while experiments run, so a
+// row's commit (an fsync under a WAL store) overlaps the next experiment
+// instead of delaying it. The coordinator queues rows with put; the stage
+// takes whatever is queued, at most maxLogBatch rows, and writes them with
+// PutExperiments. Rows reach the store in the order they were queued. put
+// blocks while the queue is full, which bounds the rows accepted and not yet
+// acknowledged to 2×maxLogBatch. After a permanent store failure (transient
+// ones are retried) the stage discards every later row; the coordinator
+// sees the failure at its next result and halts dispatch, the campaign
+// aborts with the store's error, and a resume reruns those experiments.
+type logStage struct {
+	r      *Runner
+	rows   chan dbase.ExperimentRow
+	done   chan struct{}
+	err    error       // written by the stage goroutine before failed is set
+	failed atomic.Bool // read by the coordinator
+}
+
+// startLogStage starts the stage goroutine. Its flushes are recorded under
+// their own virtual thread, obsv.LogStageTID, since they overlap the
+// coordinator and the workers.
+func (r *Runner) startLogStage() *logStage {
+	s := &logStage{
+		r:    r,
+		rows: make(chan dbase.ExperimentRow, maxLogBatch),
+		done: make(chan struct{}),
+	}
+	go s.run()
+	return s
+}
+
+// run is the stage goroutine. Each call writes the largest power-of-two
+// prefix of the rows taken (1, 2, 4, … 32) and keeps the rest for the next
+// call. Every row count is a distinct INSERT text, and the SQL layer keeps
+// the parsed texts in one process-wide cache: with any count from 1 to 32 a
+// campaign leaves ~160 KB of parsed statements live there, which pulls the
+// next campaign's garbage collections earlier; six shapes hold ~20 KB.
+func (s *logStage) run() {
+	defer close(s.done)
+	batch := make([]dbase.ExperimentRow, 0, maxLogBatch)
+	for {
+		if len(batch) == 0 {
+			row, ok := <-s.rows
+			if !ok {
+				return
+			}
+			batch = append(batch, row)
+		}
+		// The stage is the only receiver, so a queued row is there to take.
+		for len(batch) < maxLogBatch && len(s.rows) > 0 {
+			batch = append(batch, <-s.rows)
+		}
+		n := 1 << (bits.Len(uint(len(batch))) - 1)
+		if !s.failed.Load() {
+			sp := s.r.Recorder.Begin(obsv.PhaseFlush, obsv.LogStageTID)
+			err := retryStore(func() error { return s.r.store.PutExperiments(batch[:n]) })
+			sp.End()
+			if err != nil {
+				s.err = err
+				s.failed.Store(true)
+			}
+		}
+		batch = append(batch[:0], batch[n:]...)
+	}
+}
+
+// put queues one row, blocking while the queue is full.
+func (s *logStage) put(row dbase.ExperimentRow) { s.rows <- row }
+
+// failure returns the store error that stopped the stage, or nil.
+func (s *logStage) failure() error {
+	if s.failed.Load() {
+		return s.err
+	}
+	return nil
+}
+
+// close waits until every queued row has been acknowledged by the store (or
+// discarded after a failure) and returns the store's error.
+func (s *logStage) close() error {
+	close(s.rows)
+	<-s.done
+	return s.err
+}
+
+// runPool is the campaign engine of every non-forking campaign; a sequential
+// campaign (Workers <= 1) is a pool of one worker. Every injection plan is
 // pre-drawn here, on the coordinating goroutine, from the single seeded PRNG
-// in experiment order — the PRNG stream, and therefore every experiment, is
-// bit-identical to a sequential run. Experiments then fan out to
-// Campaign.Workers workers, each owning a factory-minted target instance,
-// and results funnel back through a logging stage that batches rows into
-// CampaignStore.PutExperiments. Resume semantics (completed experiments are
-// skipped before dispatch), Pause/Stop (honoured between dispatches;
-// in-flight experiments drain and are logged) and StopCondition are
-// preserved. Progress is reported in completion order, which is the only
-// observable difference from a sequential run.
+// in experiment order, so the experiments are bit-identical whatever the
+// width. Experiments then fan out to the workers; the coordinator folds each
+// result into the summary, reports progress, evaluates StopCondition and
+// queues the row on the logging stage.
 //
-// Fault tolerance: each worker runs experiments through the retry/watchdog
-// machinery of runExperiment. A worker whose target hung or glitched through
-// the whole retry budget quarantines the instance and continues on a freshly
-// minted replacement; if the Factory cannot deliver one, the worker retires
-// and the pool degrades to fewer workers instead of halting the campaign.
-func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged map[string]bool, sum Summary) (Summary, error) {
+// Dispatch: at most W experiments are dispatched and not yet accounted. The
+// coordinator returns one credit per result once it has accounted it, and
+// the dispatcher honours Pause and Stop before every dispatch. With one
+// worker this is the sequential contract: Pause, Stop and StopCondition act
+// between experiments with nothing in flight. Resumed campaigns skip logged
+// experiments before dispatch. Progress is reported in completion order.
+//
+// Targets: a single worker runs on the runner's own target, so no Factory is
+// needed; each of W > 1 workers owns a Factory-minted instance. A worker
+// whose attempt hung quarantines its target, which the abandoned attempt
+// goroutine may still be running on, and continues on a freshly minted
+// replacement. If none can be minted (no Factory, or the Factory fails), the
+// worker retires and the pool degrades; once no worker is left, the campaign
+// aborts with the completed rows logged and resumable.
+func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[string]bool, sum Summary, opsPoisoned *bool) (Summary, error) {
 	c := r.campaign
-	if r.Factory == nil {
+	if c.Workers > 1 && r.Factory == nil {
 		return sum, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
 			c.Name, c.Workers)
 	}
@@ -816,11 +844,12 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 	total := r.ownedTotal()
 	journal := r.Recorder.Journal()
 	psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-	jobs := make([]parallelJob, 0, c.NExperiments)
+	jobs := make([]poolJob, 0, c.NExperiments)
 	for i := 0; i < c.NExperiments; i++ {
-		// Drawn even for experiments skipped on resume (and for indices
-		// owned by other shards), exactly like the sequential loop: the
-		// stream stays aligned.
+		// The plan is drawn even for experiments skipped on resume (and for
+		// indices owned by other shards), keeping the PRNG stream aligned so
+		// a resumed or sharded campaign is bit-identical to an uninterrupted
+		// single-process one.
 		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
 		if err != nil {
 			psp.End()
@@ -829,7 +858,7 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 		if !r.owns(i) {
 			continue
 		}
-		name := fmt.Sprintf("%s/e%04d", c.Name, i)
+		name := r.experimentName(i)
 		if logged[name] {
 			sum.Skipped++
 			r.Recorder.Count("experiments.skipped", 1)
@@ -838,50 +867,47 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 		if journal != nil {
 			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
 		}
-		jobs = append(jobs, parallelJob{idx: i, name: name, plan: plan})
+		jobs = append(jobs, poolJob{idx: i, name: name, plan: plan})
 	}
 	psp.End()
 
-	workers := c.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(max(c.Workers, 1), len(jobs))
 	if workers == 0 {
 		return sum, nil
 	}
-	// Mint every worker's target up front so a factory failure aborts
-	// before any experiment runs.
-	targets := make([]target.Operations, workers)
-	for i := range targets {
-		ops, err := r.Factory.New()
-		if err != nil {
-			return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
+	targets := []target.Operations{r.ops}
+	if workers > 1 {
+		// Mint every worker's target up front so a factory failure aborts
+		// before any experiment runs.
+		targets = make([]target.Operations, workers)
+		for i := range targets {
+			ops, err := r.mintTarget()
+			if err != nil {
+				return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
+			}
+			targets[i] = ops
 		}
-		targets[i] = ops
 	}
 
-	jobCh := make(chan parallelJob)
-	resCh := make(chan parallelResult, workers)
+	jobCh := make(chan poolJob)
+	resCh := make(chan poolResult, workers)
+	credits := make(chan struct{}, workers)
+	for range workers {
+		credits <- struct{}{}
+	}
 	haltDispatch := make(chan struct{})
 	var haltOnce sync.Once
 	halt := func() { haltOnce.Do(func() { close(haltDispatch) }) }
+	stage := r.startLogStage()
 
 	var liveWorkers atomic.Int32
 	liveWorkers.Store(int32(workers))
-	setup := func(ops target.Operations) {
-		ops.SetDetailMode(c.DetailMode)
-		if cp, ok := ops.(target.Checkpointer); ok {
-			cp.ClearCheckpoint()
-		}
-		if cs, ok := target.AsCheckpointStore(ops); ok {
-			cs.DropCheckpoints()
-		}
-	}
+	var retiredOps atomic.Bool // a hang abandoned r.ops to its attempt goroutine
 	var wg sync.WaitGroup
 	for w, ops := range targets {
 		wg.Add(1)
 		// Worker w records under virtual thread w+1; tid 0 belongs to the
-		// coordinator (planning, logging, the reference run).
+		// coordinator (planning, the reference run).
 		go func(ops target.Operations, tid int32) {
 			defer wg.Done()
 			// When the last worker retires, dispatch must halt too or the
@@ -891,25 +917,23 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 					halt()
 				}
 			}()
-			setup(ops)
 			tagWorker(ops, tid)
 			for j := range jobCh {
-				res := parallelResult{idx: j.idx, name: j.name}
+				res := poolResult{idx: j.idx, name: j.name}
 				gsp := r.Recorder.BeginGroup(j.name, tid)
 				res.out = r.runExperiment(ops, tech.run, j.plan, j.idx, tid)
 				gsp.End()
-				if res.out.hung || res.out.failed {
-					// Quarantine: the target wedged (and is still owned by
-					// the abandoned attempt goroutine) or glitched through
-					// the whole retry budget. Retire it and continue on a
-					// fresh instance; without one, degrade the pool.
+				if res.out.hung {
 					res.quarantined = true
-					if journal != nil {
-						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "target retired after hang/exhausted retries")
+					if ops == r.ops {
+						retiredOps.Store(true)
 					}
-					nops, err := r.mintReplacement()
+					if journal != nil {
+						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "hung target retired")
+					}
+					nops, err := r.mintTarget()
 					if err != nil {
-						res.workerLost = true
+						res.lost = err
 						resCh <- res
 						return
 					}
@@ -918,7 +942,6 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 				}
 				resCh <- res
 			}
-			ops.SetDetailMode(false)
 		}(ops, int32(w+1))
 	}
 	go func() {
@@ -926,14 +949,23 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 		close(resCh)
 	}()
 
-	// The dispatcher honours Pause and Stop between experiments exactly
-	// like the sequential loop: checkpoint blocks while paused and aborts
-	// dispatch on Stop; in-flight experiments then drain into the log.
 	go func() {
 		defer close(jobCh)
 		for _, j := range jobs {
+			select {
+			case <-credits:
+			case <-haltDispatch:
+				return
+			}
+			// The credit came back after the coordinator accounted a result,
+			// so a Stop, Pause or halt issued while accounting it is seen here.
 			if r.checkpoint() != nil {
 				return
+			}
+			select {
+			case <-haltDispatch:
+				return
+			default:
 			}
 			select {
 			case jobCh <- j:
@@ -943,114 +975,113 @@ func (r *Runner) runParallel(tech technique, locs []faultmodel.Location, logged 
 		}
 	}()
 
-	// Logging stage: results are folded into the summary as they arrive and
-	// buffered into batched inserts; the batch flushes when full or when the
-	// result stream runs momentarily dry, so logging latency stays bounded.
-	var (
-		pending     []dbase.ExperimentRow
-		firstErr    error
-		condStop    bool
-		workersLost int
-	)
-	done := sum.Skipped
-	received := 0
-	flush := func() {
-		if len(pending) == 0 {
-			return
+	t := r.newTally(&sum, stage, halt, total, workers)
+	for res := range resCh {
+		if t.admit(res) {
+			stage.put(r.outcomeRow(res.name, "", res.out))
+			t.account(res)
 		}
-		fsp := r.Recorder.Begin(obsv.PhaseFlush, 0)
-		defer fsp.End()
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = r.store.PutExperiments(pending); err == nil {
-				pending = pending[:0]
-				return
-			}
-			if attempt >= flushRetryLimit || !storeErrTransient(err) {
-				break
-			}
-			time.Sleep(flushRetryBackoff << attempt)
-		}
-		// pending is kept intact: the rows stay eligible for the next flush
-		// (the store may have recovered by then); if the campaign aborts
-		// instead, the resume scan simply re-runs them.
-		if firstErr == nil {
-			firstErr = err
-			halt()
-		}
+		credits <- struct{}{}
 	}
-	handle := func(res parallelResult) {
-		received++
-		sum.Retries += res.out.retries
-		if res.quarantined {
-			sum.Quarantined++
-			r.Recorder.Count("experiments.quarantined", 1)
-			r.logger().Warn("worker target quarantined",
-				"campaign", c.Name, "experiment", res.name)
-		}
-		if res.workerLost {
-			workersLost++
-			r.logger().Warn("worker retired; pool degraded",
-				"campaign", c.Name, "workersLost", workersLost, "workers", workers)
-		}
-		if res.out.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: experiment %d: %w", res.idx, res.out.err)
-				halt()
-			}
-			return
-		}
-		if firstErr != nil {
-			return
-		}
-		pending = append(pending, r.outcomeRow(res.name, "", res.out))
-		done++
-		label := r.accountOutcome(&sum, res.out)
-		r.report(r.progress(&sum, done, total, label))
-		if !condStop && r.StopCondition != nil && r.StopCondition(sum) {
-			condStop = true
-			halt()
-		}
+	err := t.finish(len(jobs))
+	if retiredOps.Load() {
+		*opsPoisoned = true
 	}
-	for {
-		var res parallelResult
-		var ok bool
-		select {
-		case res, ok = <-resCh:
-		default:
-			flush()
-			res, ok = <-resCh
-		}
-		if !ok {
-			break
-		}
-		handle(res)
-		if len(pending) >= maxLogBatch {
-			flush()
-		}
-	}
-	flush()
+	return sum, err
+}
 
-	if firstErr != nil {
-		return sum, firstErr
+// tally is a pool coordinator's account of the results coming back from its
+// workers: it folds them into the summary, reports progress, evaluates
+// StopCondition, and turns how the pool ended into Run's error.
+type tally struct {
+	r     *Runner
+	sum   *Summary
+	stage *logStage
+	halt  func()
+
+	total, workers int
+	done           int // progress count: skipped plus accounted experiments
+	received       int
+	lost           int   // workers retired without a replacement target
+	lostErr        error // why the last of them could not get one
+	firstErr       error
+	condStop       bool
+}
+
+func (r *Runner) newTally(sum *Summary, stage *logStage, halt func(), total, workers int) *tally {
+	return &tally{r: r, sum: sum, stage: stage, halt: halt, total: total, workers: workers, done: sum.Skipped}
+}
+
+// admit takes in one result and reports whether the experiment is to be
+// logged and accounted. The first failure (an experiment's permanent error,
+// a store failure) halts dispatch; the pool dispatches only on a credit
+// returned after admit, so nothing is dispatched once the coordinator has
+// seen the failure. Later results are dropped: a resume reruns them.
+func (t *tally) admit(res poolResult) bool {
+	c := t.r.campaign
+	t.received++
+	t.sum.Retries += res.out.retries
+	if res.quarantined {
+		t.sum.Quarantined++
+		t.r.Recorder.Count("experiments.quarantined", 1)
+		t.r.logger().Warn("experiment hung; target quarantined",
+			"campaign", c.Name, "experiment", res.name, "watchdog", c.ExperimentTimeout)
 	}
-	if condStop {
-		return sum, nil
+	if res.lost != nil {
+		t.lost++
+		t.lostErr = res.lost
+		t.r.logger().Warn("worker retired; pool degraded",
+			"campaign", c.Name, "workersLost", t.lost, "workers", t.workers, "cause", res.lost)
 	}
-	if received < len(jobs) {
+	if t.firstErr == nil {
+		t.firstErr = t.stage.failure()
+		if res.out.err != nil && t.firstErr == nil {
+			t.firstErr = fmt.Errorf("core: experiment %d: %w", res.idx, res.out.err)
+		}
+		if t.firstErr != nil {
+			t.halt()
+		}
+	}
+	return t.firstErr == nil
+}
+
+// account folds an admitted experiment into the summary and reports it. The
+// caller queues the row first, so no progress event runs ahead of the rows
+// the logging stage has accepted.
+func (t *tally) account(res poolResult) {
+	t.done++
+	label := t.r.accountOutcome(t.sum, res.out)
+	t.r.report(t.r.progress(t.sum, t.done, t.total, label))
+	if !t.condStop && t.r.StopCondition != nil && t.r.StopCondition(*t.sum) {
+		t.condStop = true
+		t.halt()
+	}
+}
+
+// finish waits for the logging stage to drain and returns the campaign's
+// outcome once the result stream has closed; jobs is how many experiments
+// were to run.
+func (t *tally) finish(jobs int) error {
+	if err := t.stage.close(); t.firstErr == nil {
+		t.firstErr = err
+	}
+	if t.firstErr != nil || t.condStop {
+		return t.firstErr
+	}
+	if t.received < jobs {
 		// Final tick: after an interrupted campaign the progress consumer
 		// must be left with the true completed count, not the last
 		// completion-order snapshot.
-		r.report(r.progress(&sum, done, total, "stopped"))
-		if workersLost == workers {
-			return sum, fmt.Errorf("core: campaign %s: all %d workers lost their targets (%d quarantined); %d experiments not run",
-				c.Name, workers, sum.Quarantined, len(jobs)-received)
+		t.r.report(t.r.progress(t.sum, t.done, t.total, "stopped"))
+		if t.lost == t.workers {
+			return fmt.Errorf("core: campaign %s: all %d workers lost their targets (%d quarantined); %d experiments not run: %w",
+				t.r.campaign.Name, t.workers, t.sum.Quarantined, jobs-t.received, t.lostErr)
 		}
 		// Dispatch was cut short by Stop (or context cancellation, which
-		// maps to Stop): same contract as the sequential loop.
-		return sum, ErrStopped
+		// maps to Stop).
+		return ErrStopped
 	}
-	return sum, nil
+	return nil
 }
 
 // tagWorker assigns the worker's virtual thread id to instrumented targets

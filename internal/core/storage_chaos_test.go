@@ -70,8 +70,8 @@ func chaosRun(t *testing.T, c Campaign, faults string) ([]dbase.ExperimentRow, S
 // -storage-chaos flag: with transient-only fault rates every layer's retry
 // (WAL group commit, checkpoint, store flush, experiment logging) absorbs
 // the injected errors, so the campaign's rows and summary are byte-identical
-// to a fault-free in-memory run. Covers the sequential path (Workers=1,
-// Runner.putExperiment) and the parallel flush path.
+// to a fault-free in-memory run. Covers the one-worker (sequential) and the
+// multi-worker pool, both logging through the same stage.
 func TestStorageChaosCampaignMatchesFaultFree(t *testing.T) {
 	const faults = "open=0.02,read=0.02,write=0.05,sync=0.05,rename=0.02,seed=11"
 	c := scifiCampaign("storage-chaos", 18)

@@ -64,6 +64,9 @@ const (
 	StorageTID int32 = -2
 	// HTTPTID is the service HTTP layer.
 	HTTPTID int32 = -3
+	// LogStageTID is the campaign runner's logging stage, the goroutine that
+	// writes experiment rows to the store while experiments run.
+	LogStageTID int32 = -4
 )
 
 // WideEvent is one structured provenance event. The JSON form is the NDJSON

@@ -13,8 +13,9 @@
 //
 // Phase accounting follows one rule that makes the numbers trustworthy:
 // the Phase* constants are LEAF phases that never overlap in time on one
-// goroutine, so their durations sum to (just under) the campaign
-// wall-clock. Grouping spans — the campaign, the reference run, one
+// goroutine, so on a sequential campaign's own threads their durations sum
+// to (just under) the campaign wall-clock; PhaseFlush and PhaseWALAppend
+// run on threads of their own and overlap them. Grouping spans — the campaign, the reference run, one
 // experiment, one injection — are trace-only (BeginGroup) and deliberately
 // excluded from the phase metrics, because they contain leaf phases and
 // would double-count.
@@ -54,7 +55,10 @@ const (
 	PhaseCheckpointRestore
 	// PhaseRetry is backoff sleep between experiment retry attempts.
 	PhaseRetry
-	// PhaseFlush is persisting experiment rows to the campaign store.
+	// PhaseFlush is persisting experiment rows to the campaign store. While
+	// experiments run it is the campaign's logging stage, a dedicated virtual
+	// thread (LogStageTID): like PhaseWALAppend it never overlaps another
+	// phase on its own thread, but it overlaps the workers' phases.
 	PhaseFlush
 	// PhaseWALAppend is the write-ahead log's group-commit work: writing
 	// coalesced record batches and fsyncing them. It runs on the WAL's own
