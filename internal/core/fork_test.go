@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -246,33 +247,38 @@ func TestForkedGoldenSaveChaosDegradesToCoverage(t *testing.T) {
 	}
 }
 
-// TestForkedGoldenRunHangRemints wedges the coordinator's own target under
-// the golden run: the reference touches every harvest candidate, so hang
-// chaos hits it with high probability, and instead of aborting (the plain
-// engine's only option) the forked engine must quarantine the wedged target,
-// re-mint from the factory and rerun the golden run — still producing rows
-// identical to a clean plain campaign.
+// TestForkedGoldenRunHangRemints wedges the runner's own target under the
+// reference run, plain and forking (where it doubles as the golden run and
+// touches every harvest candidate, so hang chaos hits it with high
+// probability). With a Factory the engine must quarantine the wedged target,
+// re-mint and rerun the reference, and continue on the replacement — still
+// producing rows identical to a clean plain campaign.
 func TestForkedGoldenRunHangRemints(t *testing.T) {
 	c := scifiCampaign("fork-goldhang", 8)
 	_, plain := runCampaign(t, c, nil)
 
-	cf := c
-	cf.Fork = true
-	cf.RetryLimit = 20
-	cf.ExperimentTimeout = 300 * time.Millisecond
-	ops, store := newEnv(t)
-	// Hang chaos on the coordinator's target only; replacements minted from
-	// the clean factory finish the harvest and the campaign.
-	r := NewRunner(target.NewFlaky(ops, target.FlakyConfig{HangRate: 0.05, Seed: 2}), store, cf)
-	r.Factory = target.DefaultThorFactory()
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for _, fork := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fork=%v", fork), func(t *testing.T) {
+			cf := c
+			cf.Fork = fork
+			cf.RetryLimit = 20
+			cf.ExperimentTimeout = 300 * time.Millisecond
+			ops, store := newEnv(t)
+			// Hang chaos on the runner's own target only; replacements
+			// minted from the clean factory finish the reference and the
+			// campaign.
+			r := NewRunner(target.NewFlaky(ops, target.FlakyConfig{HangRate: 0.05, Seed: 2}), store, cf)
+			r.Factory = target.DefaultThorFactory()
+			sum, err := r.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Quarantined == 0 || sum.Hangs == 0 {
+				t.Fatalf("reference run never hung (quarantined=%d hangs=%d); change the seed", sum.Quarantined, sum.Hangs)
+			}
+			requireSameRows(t, plain, campaignRows(t, store, cf.Name), "reference-hang run")
+		})
 	}
-	if sum.Quarantined == 0 || sum.Hangs == 0 {
-		t.Fatalf("golden run never hung (quarantined=%d hangs=%d); change the seed", sum.Quarantined, sum.Hangs)
-	}
-	requireSameRows(t, plain, campaignRows(t, store, cf.Name), "golden-hang fork")
 }
 
 // TestForkedResumeAfterStop stops a forked parallel campaign mid-flight and

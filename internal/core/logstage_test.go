@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -42,7 +41,7 @@ func (s *gatedStore) ackedRows() int {
 
 // TestLogStageOverlapsExperiments drives the logging stage with a store that
 // holds every batched insert until the test releases it, at pool widths 1
-// (a sequential campaign) and 2. While an insert of b rows is blocked with
+// (a sequential campaign) and 2, plain and with checkpoint forking. While an insert of b rows is blocked with
 // `acked` rows already acknowledged, the campaign must keep running and
 // accounting experiments until the stage's queue is full, i.e. until
 // progress reaches acked+b+maxLogBatch (or the end of the campaign), and no
@@ -50,11 +49,16 @@ func (s *gatedStore) ackedRows() int {
 // store. Run must not return while an insert is blocked, and when it returns
 // every row must be acknowledged.
 func TestLogStageOverlapsExperiments(t *testing.T) {
-	for _, w := range []int{1, 2} {
-		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    int
+		fork bool
+	}{{"W1", 1, false}, {"W2", 2, false}, {"fork-W1", 1, true}, {"fork-W2", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			const n = 3 * maxLogBatch
-			c := scifiCampaign(fmt.Sprintf("stage-w%d", w), n)
-			c.Workers = w
+			c := scifiCampaign("stage-"+tc.name, n)
+			c.Workers = tc.w
+			c.Fork = tc.fork
 			ops, store := newEnv(t)
 			gs := &gatedStore{CampaignStore: store, calls: make(chan int), release: make(chan struct{})}
 			r := NewRunner(ops, gs, c)

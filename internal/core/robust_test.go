@@ -123,8 +123,8 @@ func TestFlakyParallelCampaignDeterministic(t *testing.T) {
 // one chosen experiment — a deterministic stand-in for a hung test card.
 // Once wedged, the abandoned attempt still owns the instance, so late counts
 // every further call the engine makes on it: the per-attempt reseed, the
-// power-up reset and the detail-mode switches, the calls an engine that
-// reused or reset the target would make first.
+// power-up reset, the detail-mode switches and the checkpoint store, the
+// calls an engine that reused or reset the target would make first.
 type hangAt struct {
 	target.Operations
 	hangExp int
@@ -152,6 +152,25 @@ func (h *hangAt) InitTestCard() error {
 func (h *hangAt) SetDetailMode(on bool) {
 	h.touch()
 	h.Operations.SetDetailMode(on)
+}
+
+// store forwards the checkpoint store of the wrapped target, so forking
+// campaigns run on hangAt too; every call counts as a touch.
+func (h *hangAt) store() target.CheckpointStore {
+	h.touch()
+	return h.Operations.(target.CheckpointStore)
+}
+
+func (h *hangAt) SaveCheckpointAt(id uint64) error { return h.store().SaveCheckpointAt(id) }
+func (h *hangAt) RestoreCheckpointAt(id uint64) (bool, error) {
+	return h.store().RestoreCheckpointAt(id)
+}
+func (h *hangAt) DropCheckpointAt(id uint64)             { h.store().DropCheckpointAt(id) }
+func (h *hangAt) DropCheckpoints()                       { h.store().DropCheckpoints() }
+func (h *hangAt) CheckpointBytes() int64                 { return h.store().CheckpointBytes() }
+func (h *hangAt) ExportCheckpoint(id uint64) (any, bool) { return h.store().ExportCheckpoint(id) }
+func (h *hangAt) ImportCheckpoint(id uint64, snap any) error {
+	return h.store().ImportCheckpoint(id, snap)
 }
 
 func (h *hangAt) ReadScanChain(chain string) (scan.Bits, error) {
@@ -245,34 +264,45 @@ func TestSequentialHangWithoutFactory(t *testing.T) {
 }
 
 // TestHungTargetReceivesNoFurtherCall: once an attempt wedges on the
-// runner's own target in a sequential campaign, the engine never calls that
-// instance again — not for the next experiment and not for the closing
-// detail-mode reset — whether a Factory replaces it or the campaign ends.
+// runner's own target in a sequential campaign, plain or forking, the
+// engine never calls that instance again — not for the next experiment, not
+// for its checkpoint store and not for the closing detail-mode reset —
+// whether a Factory replaces it or the campaign ends.
 func TestHungTargetReceivesNoFurtherCall(t *testing.T) {
-	for _, withFactory := range []bool{false, true} {
-		t.Run(fmt.Sprintf("factory=%v", withFactory), func(t *testing.T) {
-			c := scifiCampaign("hung-untouched", 4)
-			c.ExperimentTimeout = 300 * time.Millisecond
-			ops, store := newEnv(t)
-			h := &hangAt{Operations: ops, hangExp: 1, cur: -2}
-			r := NewRunner(h, store, c)
-			if withFactory {
-				r.Factory = target.DefaultThorFactory()
+	for _, fork := range []bool{false, true} {
+		for _, withFactory := range []bool{false, true} {
+			name := fmt.Sprintf("factory=%v", withFactory)
+			if fork {
+				name = "fork," + name
 			}
-			sum, err := r.Run(context.Background())
-			if withFactory && (err != nil || sum.Completed != c.NExperiments) {
-				t.Fatalf("summary = %+v, err = %v", sum, err)
-			}
-			if !withFactory && (err == nil || !strings.Contains(err.Error(), "no Runner.Factory is set")) {
-				t.Fatalf("err = %v, want the missing-Factory error", err)
-			}
-			if !h.wedged.Load() {
-				t.Fatal("the target never wedged")
-			}
-			if n := h.late.Load(); n != 0 {
-				t.Fatalf("the hung target received %d calls after it wedged", n)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				c := scifiCampaign("hung-untouched", 4)
+				c.ExperimentTimeout = 300 * time.Millisecond
+				c.Fork = fork
+				ops, store := newEnv(t)
+				// Experiment 2 is neither first nor last in either execution
+				// order (plain runs 0, 1, 2, 3; forking runs 0, 3, 2, 1), so
+				// work is left when it wedges.
+				h := &hangAt{Operations: ops, hangExp: 2, cur: -2}
+				r := NewRunner(h, store, c)
+				if withFactory {
+					r.Factory = target.DefaultThorFactory()
+				}
+				sum, err := r.Run(context.Background())
+				if withFactory && (err != nil || sum.Completed != c.NExperiments) {
+					t.Fatalf("summary = %+v, err = %v", sum, err)
+				}
+				if !withFactory && (err == nil || !strings.Contains(err.Error(), "no Runner.Factory is set")) {
+					t.Fatalf("err = %v, want the missing-Factory error", err)
+				}
+				if !h.wedged.Load() {
+					t.Fatal("the target never wedged")
+				}
+				if n := h.late.Load(); n != 0 {
+					t.Fatalf("the hung target received %d calls after it wedged", n)
+				}
+			})
+		}
 	}
 }
 

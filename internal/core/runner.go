@@ -101,8 +101,8 @@ type Summary struct {
 	Retries int
 	// Hangs counts experiments the wall-clock watchdog gave up on.
 	Hangs int
-	// Quarantined counts target instances retired and replaced after a hang
-	// or an exhausted retry budget.
+	// Quarantined counts target instances retired after a hang (of an
+	// experiment or of the reference run).
 	Quarantined int
 }
 
@@ -452,9 +452,6 @@ func (r *Runner) mintTarget() (target.Operations, error) {
 		return nil, err
 	}
 	ops.SetDetailMode(r.campaign.DetailMode)
-	if cp, ok := ops.(target.Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
 	if cs, ok := target.AsCheckpointStore(ops); ok {
 		cs.DropCheckpoints()
 	}
@@ -526,12 +523,16 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 	return sum, err
 }
 
-// execute runs the validated campaign: reference run, then the worker pool
-// (runPool) or the checkpoint-forking engine (runForked). Split from Run so
-// monitoring setup/teardown brackets the whole execution on the Run
-// goroutine.
+// execute runs the validated campaign: it draws every plan, runs the
+// reference, then runs the experiments on the worker pool (runPool). Split
+// from Run so monitoring setup/teardown brackets the whole execution on the
+// Run goroutine.
 func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.Location) (Summary, error) {
 	c := r.campaign
+	if c.Workers > 1 && r.Factory == nil {
+		return Summary{}, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
+			c.Name, c.Workers)
+	}
 
 	// Propagate context cancellation into the pause/stop machinery.
 	watchDone := make(chan struct{})
@@ -561,9 +562,6 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 	}()
 
 	// A stale snapshot from an earlier campaign must never leak in.
-	if cp, ok := r.ops.(target.Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
 	if cs, ok := target.AsCheckpointStore(r.ops); ok {
 		cs.DropCheckpoints()
 	}
@@ -577,40 +575,132 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 	if err != nil {
 		return Summary{}, err
 	}
-
-	// Checkpoint forking runs its own golden reference (which doubles as the
-	// checkpoint harvest) and its own dispatch loop.
-	if c.Fork {
-		return r.runForked(tech, locs, logged, sum, &opsPoisoned)
+	jobs, err := r.drawPlans(locs, logged, &sum)
+	if err != nil {
+		return sum, err
 	}
 
-	// Reference run: the same algorithm with an empty plan (Fig. 2,
-	// makeReferenceRun), logged under <campaign>/ref. A stopped campaign
-	// that is re-run resumes instead of redoing completed work (the
-	// "restart" control of Fig. 7): the logged reference is reused. The
-	// reference enjoys the same retry protection as experiments, but a hang
-	// or exhausted budget aborts — the campaign is meaningless without it.
-	if !logged[c.Name+RefSuffix] {
-		gsp := r.Recorder.BeginGroup("reference", 0)
-		out := r.runExperiment(r.ops, tech.run, faultmodel.Plan{}, refIndex, 0)
-		gsp.End()
-		sum.Retries += out.retries
-		switch {
-		case out.err != nil:
-			return sum, fmt.Errorf("core: reference run: %w", out.err)
-		case out.hung:
-			opsPoisoned = true
-			return sum, fmt.Errorf("core: reference run hung (watchdog %v); campaign cannot proceed without a reference", c.ExperimentTimeout)
-		case out.failed:
-			return sum, fmt.Errorf("core: reference run failed after %d attempts: %w", c.RetryLimit+1, out.cause)
-		}
-		if err := r.logExperiment(c.Name+RefSuffix, "", out.exp); err != nil {
+	// Checkpoint forking changes the reference run (it doubles as the
+	// checkpoint harvest), the job order and the experiment body; the
+	// engine is the same.
+	refRun := tech.run
+	body := func(target.Operations) (Algorithm, error) { return tech.run, nil }
+	var fork *forkPlan
+	if c.Fork {
+		fork = r.newForkPlan(tech, jobs)
+		refRun = fork.golden
+	}
+
+	// A stopped campaign that is re-run resumes instead of redoing completed
+	// work (the "restart" control of Fig. 7): the logged reference is
+	// reused, except that a forking campaign reruns it for its checkpoints.
+	ops := r.ops
+	refLogged := logged[c.Name+RefSuffix]
+	if !refLogged || (fork != nil && len(jobs) > 0) {
+		if ops, err = r.reference(refRun, refLogged, &sum, &opsPoisoned); err != nil {
 			return sum, err
 		}
-		r.report(r.progress(&sum, 0, r.ownedTotal(), "reference "+out.exp.Term.Reason.String()))
 	}
+	if len(jobs) == 0 {
+		return sum, nil
+	}
+	if fork != nil {
+		body = fork.source(ops)
+	}
+	return r.runPool(jobs, ops, body, sum, &opsPoisoned)
+}
 
-	return r.runPool(tech, locs, logged, sum, &opsPoisoned)
+// drawPlans draws every injection plan on the coordinating goroutine, from
+// the single seeded PRNG in experiment order, so every experiment is
+// bit-identical whatever the width, the execution order or the shard. It
+// returns the experiments left to run — owned by this shard and not logged
+// yet — and counts the logged ones as skipped.
+func (r *Runner) drawPlans(locs []faultmodel.Location, logged map[string]bool, sum *Summary) ([]poolJob, error) {
+	c := r.campaign
+	planFn := c.Model.Plan
+	if r.PlanFunc != nil {
+		planFn = r.PlanFunc
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
+	journal := r.Recorder.Journal()
+	defer r.Recorder.Begin(obsv.PhasePlan, 0).End()
+	jobs := make([]poolJob, 0, c.NExperiments)
+	for i := 0; i < c.NExperiments; i++ {
+		// The plan is drawn even for experiments skipped on resume (and for
+		// indices owned by other shards), keeping the PRNG stream aligned so
+		// a resumed or sharded campaign is bit-identical to an uninterrupted
+		// single-process one.
+		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
+		if err != nil {
+			return nil, fmt.Errorf("core: experiment %d: %w", i, err)
+		}
+		if !r.owns(i) {
+			continue
+		}
+		name := r.experimentName(i)
+		if logged[name] {
+			sum.Skipped++
+			r.Recorder.Count("experiments.skipped", 1)
+			continue
+		}
+		if journal != nil {
+			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
+		}
+		jobs = append(jobs, poolJob{idx: i, name: name, plan: plan})
+	}
+	return jobs, nil
+}
+
+// reference performs the fault-free reference run with run and an empty
+// plan (Fig. 2, makeReferenceRun), logs it under <campaign>/ref unless
+// logged is set, and returns the target the campaign continues on. The
+// reference has the same retry protection as an experiment, and a hang gets
+// the pool's quarantine policy: with a Factory the wedged target is
+// abandoned, a replacement is minted and the reference reruns, up to
+// RetryLimit times. Otherwise a hang, an exhausted retry budget or a
+// permanent error aborts: the campaign is meaningless without a reference.
+func (r *Runner) reference(run Algorithm, logged bool, sum *Summary, opsPoisoned *bool) (target.Operations, error) {
+	c := r.campaign
+	ops := r.ops
+	gsp := r.Recorder.BeginGroup("reference", 0)
+	out := r.runExperiment(ops, run, faultmodel.Plan{}, refIndex, 0)
+	for k := 0; out.hung && r.Factory != nil && k < c.RetryLimit; k++ {
+		*opsPoisoned = *opsPoisoned || ops == r.ops
+		sum.Hangs++
+		sum.Retries += out.retries
+		sum.Quarantined++
+		r.Recorder.Count("experiments.quarantined", 1)
+		r.logger().Warn("reference run hung; quarantining target and re-minting",
+			"campaign", c.Name, "watchdog", c.ExperimentTimeout)
+		nops, err := r.mintTarget()
+		if err != nil {
+			break
+		}
+		ops = nops
+		// Seeded chaos wrappers replay per (seed, index, attempt): rerunning
+		// under refIndex would wedge at exactly the same op forever, so each
+		// rerun draws from its own index below refIndex — a seeding domain no
+		// real experiment uses. The logged reference row is index-independent.
+		out = r.runExperiment(ops, run, faultmodel.Plan{}, refIndex-1-k, 0)
+	}
+	gsp.End()
+	sum.Retries += out.retries
+	switch {
+	case out.err != nil:
+		return nil, fmt.Errorf("core: reference run: %w", out.err)
+	case out.hung:
+		*opsPoisoned = *opsPoisoned || ops == r.ops
+		return nil, fmt.Errorf("core: reference run hung (watchdog %v); campaign cannot proceed without a reference", c.ExperimentTimeout)
+	case out.failed:
+		return nil, fmt.Errorf("core: reference run failed after %d attempts: %w", c.RetryLimit+1, out.cause)
+	}
+	if !logged {
+		if err := r.logExperiment(c.Name+RefSuffix, "", out.exp); err != nil {
+			return nil, err
+		}
+	}
+	r.report(r.progress(sum, sum.Skipped, r.ownedTotal(), "reference "+out.exp.Term.Reason.String()))
+	return ops, nil
 }
 
 // accountOutcome folds one concluded experiment into the running summary and
@@ -663,9 +753,10 @@ func outcomeOf(exp Experiment) string {
 
 // poolJob is one pre-planned experiment awaiting a worker.
 type poolJob struct {
-	idx  int
-	name string
-	plan faultmodel.Plan
+	idx       int
+	name      string
+	plan      faultmodel.Plan
+	firstTime uint64 // the checkpoint key under forking (forkFirstTime)
 }
 
 // poolResult is one concluded experiment on its way to the coordinator.
@@ -808,86 +899,49 @@ func (s *logStage) close() error {
 	return s.err
 }
 
-// runPool is the campaign engine of every non-forking campaign; a sequential
-// campaign (Workers <= 1) is a pool of one worker. Every injection plan is
-// pre-drawn here, on the coordinating goroutine, from the single seeded PRNG
-// in experiment order, so the experiments are bit-identical whatever the
-// width. Experiments then fan out to the workers; the coordinator folds each
-// result into the summary, reports progress, evaluates StopCondition and
-// queues the row on the logging stage.
+// runPool is the campaign engine: it dispatches the jobs, in order, to W
+// workers, each running the Algorithm that body returns for its target; a
+// sequential campaign (Workers <= 1) is a pool of one worker. The
+// coordinator folds each result into the summary, reports progress,
+// evaluates StopCondition and queues the row on the logging stage.
 //
 // Dispatch: at most W experiments are dispatched and not yet accounted. The
 // coordinator returns one credit per result once it has accounted it, and
 // the dispatcher honours Pause and Stop before every dispatch. With one
 // worker this is the sequential contract: Pause, Stop and StopCondition act
-// between experiments with nothing in flight. Resumed campaigns skip logged
-// experiments before dispatch. Progress is reported in completion order.
+// between experiments with nothing in flight. Progress is reported in
+// completion order.
 //
-// Targets: a single worker runs on the runner's own target, so no Factory is
-// needed; each of W > 1 workers owns a Factory-minted instance. A worker
-// whose attempt hung quarantines its target, which the abandoned attempt
-// goroutine may still be running on, and continues on a freshly minted
-// replacement. If none can be minted (no Factory, or the Factory fails), the
-// worker retires and the pool degrades; once no worker is left, the campaign
-// aborts with the completed rows logged and resumable.
-func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[string]bool, sum Summary, opsPoisoned *bool) (Summary, error) {
+// Targets: a single worker runs on first, the target the reference run
+// ended on, so no Factory is needed; each of W > 1 workers owns a
+// Factory-minted instance. A worker whose attempt hung quarantines its
+// target, which the abandoned attempt goroutine may still be running on, and
+// continues on a freshly minted replacement with a freshly bound body. If
+// none can be minted or bound (no Factory, or the Factory fails), the worker
+// retires and the pool degrades; once no worker is left, the campaign aborts
+// with the completed rows logged and resumable.
+func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(target.Operations) (Algorithm, error), sum Summary, opsPoisoned *bool) (Summary, error) {
 	c := r.campaign
-	if c.Workers > 1 && r.Factory == nil {
-		return sum, fmt.Errorf("core: campaign %s: parallel execution (Workers=%d) needs a Runner.Factory",
-			c.Name, c.Workers)
-	}
-	planFn := c.Model.Plan
-	if r.PlanFunc != nil {
-		planFn = r.PlanFunc
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	total := r.ownedTotal()
-	journal := r.Recorder.Journal()
-	psp := r.Recorder.Begin(obsv.PhasePlan, 0)
-	jobs := make([]poolJob, 0, c.NExperiments)
-	for i := 0; i < c.NExperiments; i++ {
-		// The plan is drawn even for experiments skipped on resume (and for
-		// indices owned by other shards), keeping the PRNG stream aligned so
-		// a resumed or sharded campaign is bit-identical to an uninterrupted
-		// single-process one.
-		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
-		if err != nil {
-			psp.End()
-			return sum, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		if !r.owns(i) {
-			continue
-		}
-		name := r.experimentName(i)
-		if logged[name] {
-			sum.Skipped++
-			r.Recorder.Count("experiments.skipped", 1)
-			continue
-		}
-		if journal != nil {
-			r.traceCtx(name, i, 0, 0).Emit(obsv.EvPlan, "plan="+plan.String())
-		}
-		jobs = append(jobs, poolJob{idx: i, name: name, plan: plan})
-	}
-	psp.End()
-
 	workers := min(max(c.Workers, 1), len(jobs))
-	if workers == 0 {
-		return sum, nil
-	}
-	targets := []target.Operations{r.ops}
-	if workers > 1 {
-		// Mint every worker's target up front so a factory failure aborts
-		// before any experiment runs.
-		targets = make([]target.Operations, workers)
-		for i := range targets {
-			ops, err := r.mintTarget()
-			if err != nil {
-				return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
-			}
-			targets[i] = ops
+	// Every worker's target is minted and bound before any worker starts, so
+	// a factory or bind failure aborts before any experiment runs.
+	targets := make([]target.Operations, workers)
+	runs := make([]Algorithm, workers)
+	for i := range targets {
+		ops := first
+		var err error
+		if workers > 1 {
+			ops, err = r.mintTarget()
 		}
+		if err == nil {
+			runs[i], err = body(ops)
+		}
+		if err != nil {
+			return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
+		}
+		targets[i] = ops
 	}
+	journal := r.Recorder.Journal()
 
 	jobCh := make(chan poolJob)
 	resCh := make(chan poolResult, workers)
@@ -908,7 +962,7 @@ func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[
 		wg.Add(1)
 		// Worker w records under virtual thread w+1; tid 0 belongs to the
 		// coordinator (planning, the reference run).
-		go func(ops target.Operations, tid int32) {
+		go func(ops target.Operations, run Algorithm, tid int32) {
 			defer wg.Done()
 			// When the last worker retires, dispatch must halt too or the
 			// dispatcher would block forever on an unclaimed jobCh send.
@@ -921,7 +975,7 @@ func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[
 			for j := range jobCh {
 				res := poolResult{idx: j.idx, name: j.name}
 				gsp := r.Recorder.BeginGroup(j.name, tid)
-				res.out = r.runExperiment(ops, tech.run, j.plan, j.idx, tid)
+				res.out = r.runExperiment(ops, run, j.plan, j.idx, tid)
 				gsp.End()
 				if res.out.hung {
 					res.quarantined = true
@@ -932,6 +986,9 @@ func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[
 						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "hung target retired")
 					}
 					nops, err := r.mintTarget()
+					if err == nil {
+						run, err = body(nops)
+					}
 					if err != nil {
 						res.lost = err
 						resCh <- res
@@ -942,7 +999,7 @@ func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[
 				}
 				resCh <- res
 			}
-		}(ops, int32(w+1))
+		}(ops, runs[w], int32(w+1))
 	}
 	go func() {
 		wg.Wait()
@@ -975,7 +1032,7 @@ func (r *Runner) runPool(tech technique, locs []faultmodel.Location, logged map[
 		}
 	}()
 
-	t := r.newTally(&sum, stage, halt, total, workers)
+	t := r.newTally(&sum, stage, halt, r.ownedTotal(), workers)
 	for res := range resCh {
 		if t.admit(res) {
 			stage.put(r.outcomeRow(res.name, "", res.out))

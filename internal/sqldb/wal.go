@@ -153,6 +153,7 @@ type wal struct {
 	generation uint64
 	unsynced   int       // commit batches since the last fsync
 	lastSync   time.Time // of the last fsync
+	spare      []byte    // the last round's buffer, the next round's empty pending
 }
 
 // --- record codec ---
@@ -592,8 +593,12 @@ func (w *wal) run() {
 func (w *wal) commit(final bool) (deferred bool) {
 	w.mu.Lock()
 	buf, waiters, resets := w.pending, w.waiters, w.resets
-	w.pending, w.waiters, w.resets = nil, nil, nil
+	w.pending, w.waiters, w.resets = w.spare[:0], nil, nil
 	w.mu.Unlock()
+	// Frames are built in two buffers that trade places every round, so a
+	// frame is not re-grown from empty each time; Write has copied buf by
+	// the time it becomes the spare.
+	defer func() { w.spare = buf[:0] }()
 
 	rec := w.rec.Load()
 
