@@ -94,9 +94,10 @@ FUZZTIME ?= 5s
 # the page-delta checkpoint round-trip, the Thor instruction decoder (a
 # fault can turn any word into a fetched instruction), the Thor predecode
 # table under ROM rewrites, I-cache flips and resets, the storage-chaos
-# fault-schedule codec and the logged state-vector codec (rows read back
-# from the database). `go test -fuzz` takes one target per invocation,
-# hence ten runs.
+# fault-schedule codec, the logged state-vector codec (rows read back
+# from the database) and the section comparison that classifies those rows
+# (differential against decoding). `go test -fuzz` takes one target per
+# invocation, hence eleven runs.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/sqldb
@@ -108,6 +109,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStepDecode$$' -fuzztime $(FUZZTIME) ./internal/thor
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultyVFS$$' -fuzztime $(FUZZTIME) ./internal/vfs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStateVector$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzStateSections$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # SIGKILL crash-recovery smoke: a handful of live campaigns killed at
 # seeded random points, recovered from the WAL, resumed to completion and

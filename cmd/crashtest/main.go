@@ -118,9 +118,13 @@ func runHarness(out *os.File, opt options) error {
 	if err != nil {
 		return err
 	}
+	horizon, err := killHorizon(exe, opt)
+	if err != nil {
+		return err
+	}
 	killed, completed := 0, 0
 	for i := 0; i < opt.Iterations; i++ {
-		res, err := runIteration(exe, opt, i)
+		res, err := runIteration(exe, opt, i, horizon)
 		if err != nil {
 			return fmt.Errorf("iteration %d (seed %d): %w", i, opt.Seed+int64(i), err)
 		}
@@ -134,8 +138,8 @@ func runHarness(out *os.File, opt options) error {
 				i, opt.Seed+int64(i), res.killDelay, res.acked, res.recovered, res.resumed, res.outcome)
 		}
 	}
-	fmt.Fprintf(out, "crashtest PASS: %d iterations (%d killed live, %d completed before the kill), %d experiments each\n",
-		opt.Iterations, killed, completed, opt.Experiments)
+	fmt.Fprintf(out, "crashtest PASS: %d iterations (%d killed live, %d completed before the kill), %d experiments each, kill horizon %v\n",
+		opt.Iterations, killed, completed, opt.Experiments, horizon.Round(time.Millisecond))
 	return nil
 }
 
@@ -192,7 +196,50 @@ func chaosOps(spec string, c *goofi.Campaign) (goofi.TargetOperations, error) {
 	return goofi.NewFlakyTarget(ops, cfg), nil
 }
 
-func runIteration(exe string, opt options, iter int) (iterResult, error) {
+// horizonSlack stretches a measured uncrashed run into a crash horizon: a
+// crash point drawn uniformly below it lands live about eight times in nine
+// and after the campaign's end about one time in nine.
+func horizonSlack(n int64) int64 { return n + n/8 }
+
+// killHorizon times one uncrashed child run of the harness's first campaign,
+// from fork to exit, and stretches it by horizonSlack. Kill delays drawn
+// below it then land anywhere from before the first ack to after
+// completion, however fast the engine runs experiments. An untimed run on a
+// store of its own goes first: the first exec of a freshly built binary
+// pays its page faults, which no later child does.
+func killHorizon(exe string, opt options) (time.Duration, error) {
+	dir, err := os.MkdirTemp("", "goofi-crashtest-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	c, err := campaignFor("crash-horizon", opt.Seed, opt.Experiments)
+	if err != nil {
+		return 0, err
+	}
+	var elapsed time.Duration
+	for _, name := range []string{"warmup.db", "campaign.db"} {
+		dbPath := filepath.Join(dir, name)
+		if err := stageStore(dbPath, c); err != nil {
+			return 0, err
+		}
+		cfg, err := json.Marshal(childConfig{
+			DB: dbPath, Campaign: c.Name,
+			Chaos: opt.Chaos, CheckpointBytes: opt.CheckpointBytes,
+		})
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		if _, done, err := runAndKill(exe, string(cfg), time.Hour); err != nil || !done {
+			return 0, fmt.Errorf("uncrashed horizon run did not complete: %v", err)
+		}
+		elapsed = time.Since(start)
+	}
+	return time.Duration(horizonSlack(int64(elapsed))), nil
+}
+
+func runIteration(exe string, opt options, iter int, horizon time.Duration) (iterResult, error) {
 	var res iterResult
 	seed := opt.Seed + int64(iter)
 	rng := rand.New(rand.NewSource(seed))
@@ -216,9 +263,9 @@ func runIteration(exe string, opt options, iter int) (iterResult, error) {
 		return res, err
 	}
 
-	// Fork the child and kill it after a seeded delay sized so kills land
-	// anywhere from before the first ack to after completion.
-	horizon := 25*time.Millisecond + time.Duration(opt.Experiments)*500*time.Microsecond
+	// Fork the child and kill it after a seeded delay below the measured
+	// horizon, so kills land anywhere from before the first ack to after
+	// completion.
 	res.killDelay = time.Duration(rng.Int63n(int64(horizon)))
 	cfg, err := json.Marshal(childConfig{
 		DB: dbPath, Campaign: campaign,
@@ -435,9 +482,13 @@ func referenceRun(c goofi.Campaign, opt options) ([]dbase.ExperimentRow, goofi.R
 // in-process vfs.Faulty crash: no fork, no wall-clock kill timing, hundreds
 // of seeds per second.
 func runSimHarness(out *os.File, opt options) error {
+	horizon, err := crashOpHorizon(opt)
+	if err != nil {
+		return err
+	}
 	crashed, completed := 0, 0
 	for i := 0; i < opt.Iterations; i++ {
-		res, err := runSimIteration(opt, i)
+		res, err := runSimIteration(opt, i, horizon)
 		if err != nil {
 			return fmt.Errorf("sim iteration %d (seed %d): %w", i, opt.Seed+int64(i), err)
 		}
@@ -451,9 +502,42 @@ func runSimHarness(out *os.File, opt options) error {
 				i, opt.Seed+int64(i), res.acked, res.recovered, res.resumed, res.outcome)
 		}
 	}
-	fmt.Fprintf(out, "crashtest -sim PASS: %d iterations (%d crashed live, %d completed before the crash point), %d experiments each\n",
-		opt.Iterations, crashed, completed, opt.Experiments)
+	fmt.Fprintf(out, "crashtest -sim PASS: %d iterations (%d crashed live, %d completed before the crash point), %d experiments each, crash horizon %d ops\n",
+		opt.Iterations, crashed, completed, opt.Experiments, horizon)
 	return nil
+}
+
+// crashOpHorizon counts the filesystem operations of one uncrashed run of
+// the harness's first campaign over vfs.Faulty with the harness's fault spec
+// and no crash point, and stretches the count by horizonSlack: the
+// simulated-crash analogue of killHorizon.
+func crashOpHorizon(opt options) (int64, error) {
+	dir, err := os.MkdirTemp("", "goofi-crashtest-sim-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	dbPath := filepath.Join(dir, "campaign.db")
+	c, err := campaignFor("sim-horizon", opt.Seed, opt.Experiments)
+	if err != nil {
+		return 0, err
+	}
+	if err := stageStore(dbPath, c); err != nil {
+		return 0, err
+	}
+	fcfg, err := vfs.ParseFaultyConfig(opt.SimFaults)
+	if err != nil {
+		return 0, fmt.Errorf("bad -sim-faults: %w", err)
+	}
+	fcfg.Seed = opt.Seed
+	fsys, err := vfs.NewFaulty(vfs.OS{}, fcfg)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := simRun(fsys, dbPath, c, opt); err != nil {
+		return 0, fmt.Errorf("uncrashed horizon run: %w", err)
+	}
+	return horizonSlack(fsys.Stats().Ops), nil
 }
 
 // runSimIteration stages a campaign store, runs it over a Faulty filesystem
@@ -461,7 +545,7 @@ func runSimHarness(out *os.File, opt options) error {
 // same oracles as the SIGKILL path: acked ⊆ recovered (unless an fsync lied —
 // a lying disk legitimately loses acknowledged records) and a resume that is
 // bit-identical to the no-crash reference run.
-func runSimIteration(opt options, iter int) (iterResult, error) {
+func runSimIteration(opt options, iter int, horizon int64) (iterResult, error) {
 	var res iterResult
 	seed := opt.Seed + int64(iter)
 	rng := rand.New(rand.NewSource(seed))
@@ -489,10 +573,10 @@ func runSimIteration(opt options, iter int) (iterResult, error) {
 		return res, fmt.Errorf("bad -sim-faults: %w", err)
 	}
 	fcfg.Seed = seed
-	// Size the crash horizon in filesystem operations the way the SIGKILL
-	// horizon is sized in wall-clock: wide enough that crashes land anywhere
-	// from the opening header write to after campaign completion.
-	fcfg.CrashAtOp = 1 + rng.Int63n(25+6*int64(opt.Experiments))
+	// The crash point is drawn below the measured op horizon, so crashes
+	// land anywhere from the opening header write to after campaign
+	// completion.
+	fcfg.CrashAtOp = 1 + rng.Int63n(horizon)
 	fsys, err := vfs.NewFaulty(vfs.OS{}, fcfg)
 	if err != nil {
 		return res, err
@@ -502,15 +586,8 @@ func runSimIteration(opt options, iter int) (iterResult, error) {
 	res.acked = len(acked)
 	res.killedLive = runErr != nil
 	if runErr != nil && !errors.Is(runErr, vfs.ErrCrashed) {
-		if vfs.IsInjected(runErr) {
-			return res, fmt.Errorf("campaign died of an injected storage fault (transient retries should have absorbed it): %w", runErr)
-		}
-		// The campaign died of its own target-level chaos, not storage. The
-		// target's fault plan is deterministic and independent of storage
-		// retries, so this is only acceptable when the fault-free in-memory
-		// reference dies the same death.
-		if _, _, refErr := referenceRun(c, opt); refErr == nil || !strings.HasSuffix(refErr.Error(), runErr.Error()) {
-			return res, fmt.Errorf("campaign died of a non-crash, non-storage fault the reference run does not reproduce (reference: %v): %w", refErr, runErr)
+		if err := sameChaosDeath(c, opt, runErr); err != nil {
+			return res, err
 		}
 		res.outcome = "campaign-failed (reference fails identically)"
 		return res, nil
@@ -553,7 +630,14 @@ func runSimIteration(opt options, iter int) (iterResult, error) {
 	// armed, so recovery itself must also ride out injected storage trouble.
 	got, gotReport, resumedCount, err := resumeCampaignFS(fsys, dbPath, c, opt)
 	if err != nil {
-		return res, err
+		// A crash that landed before the campaign's own chaos death leaves
+		// that death to the resume, which must then die exactly as the
+		// fault-free reference run does.
+		if cause := errors.Unwrap(err); cause == nil || sameChaosDeath(c, opt, cause) != nil {
+			return res, err
+		}
+		res.outcome = "crashed live, resume failed (reference fails identically)"
+		return res, nil
 	}
 	res.resumed = resumedCount
 	if len(got) != opt.Experiments+1 { // + the golden reference run
@@ -585,6 +669,21 @@ func runSimIteration(opt options, iter int) (iterResult, error) {
 		res.outcome = fmt.Sprintf("crashed live, recovered+resumed to %d rows", len(got))
 	}
 	return res, nil
+}
+
+// sameChaosDeath checks a campaign that died of something other than the
+// simulated crash: it must be the campaign's own target-level chaos, not
+// storage. The target's fault plan is deterministic and independent of
+// storage retries, so that is only acceptable when the fault-free in-memory
+// reference run dies the same death.
+func sameChaosDeath(c goofi.Campaign, opt options, runErr error) error {
+	if vfs.IsInjected(runErr) {
+		return fmt.Errorf("campaign died of an injected storage fault (transient retries should have absorbed it): %w", runErr)
+	}
+	if _, _, refErr := referenceRun(c, opt); refErr == nil || !strings.HasSuffix(refErr.Error(), runErr.Error()) {
+		return fmt.Errorf("campaign died of a non-crash, non-storage fault the reference run does not reproduce (reference: %v): %w", refErr, runErr)
+	}
+	return nil
 }
 
 // restage re-registers the target inventory and campaign definition if a

@@ -35,8 +35,12 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	horizon, err := killHorizon(exe, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < opt.Iterations; i++ {
-		res, err := runIteration(exe, opt, i)
+		res, err := runIteration(exe, opt, i, horizon)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -59,8 +63,12 @@ func TestSimCrashRecoverySmoke(t *testing.T) {
 		Sim:             true,
 		SimFaults:       "write=0.01,sync=0.01,torn=0.01,lie=0.005,dirsync=1",
 	}
+	horizon, err := crashOpHorizon(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < opt.Iterations; i++ {
-		res, err := runSimIteration(opt, i)
+		res, err := runSimIteration(opt, i, horizon)
 		if err != nil {
 			t.Fatalf("sim iteration %d (seed %d): %v", i, opt.Seed+int64(i), err)
 		}

@@ -67,9 +67,12 @@ type (
 	Progress = core.Progress
 	// Summary reports a completed campaign.
 	Summary = core.Summary
-	// Experiment is one experiment's outcome.
+	// Experiment is one experiment's outcome. Its State holds the logged
+	// state vector in wire encoding; a custom technique may leave it nil to
+	// log the empty vector.
 	Experiment = core.Experiment
-	// StateVector is the logged observable state of an experiment.
+	// StateVector is the decoded logged observable state of an experiment
+	// (DecodeStateVector).
 	StateVector = core.StateVector
 )
 

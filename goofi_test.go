@@ -184,7 +184,7 @@ func TestRegisterEnvSimulatorAndTechnique(t *testing.T) {
 		if err != nil {
 			return Experiment{}, err
 		}
-		return Experiment{Plan: plan, Term: term, State: &StateVector{}}, nil
+		return Experiment{Plan: plan, Term: term}, nil
 	})
 	if err := RegisterTechnique("facade-custom", algo, nil); err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -73,7 +74,7 @@ func Classify(store *dbase.Store, campaign string) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("analysis: reference run: %w", err)
 	}
-	refSV, err := core.DecodeStateVector(ref.StateVector)
+	refChains, refOutputs, err := core.StateSections(ref.StateVector)
 	if err != nil {
 		return Report{}, fmt.Errorf("analysis: reference run: %w", err)
 	}
@@ -98,7 +99,7 @@ func Classify(store *dbase.Store, campaign string) (Report, error) {
 			rep.Failed++
 			continue
 		}
-		outcome, mech, err := classifyOne(refSV, ref.TerminationReason, e)
+		outcome, mech, err := classifyOne(refChains, refOutputs, ref.TerminationReason, e)
 		if err != nil {
 			return Report{}, fmt.Errorf("analysis: %s: %w", e.ExperimentName, err)
 		}
@@ -126,8 +127,11 @@ func Classify(store *dbase.Store, campaign string) (Report, error) {
 	return rep, nil
 }
 
-// classifyOne applies the §3.4 taxonomy to one experiment.
-func classifyOne(refSV *core.StateVector, refReason string, e dbase.ExperimentRow) (outcome, mechanism string, err error) {
+// classifyOne applies the §3.4 taxonomy to one experiment. The logged state
+// is compared with the reference in its wire encoding: the encoding is
+// canonical, so equal output sections mean equal results and equal chain
+// sections as well mean equal state (core.StateSections).
+func classifyOne(refChains, refOutputs []byte, refReason string, e dbase.ExperimentRow) (outcome, mechanism string, err error) {
 	if e.TerminationReason == target.TerminDetected.String() {
 		return OutcomeDetected, e.Mechanism, nil
 	}
@@ -139,14 +143,14 @@ func classifyOne(refSV *core.StateVector, refReason string, e dbase.ExperimentRo
 		(e.TerminationReason == target.TerminTimeout.String() && refReason != e.TerminationReason) {
 		return OutcomeEscaped, "", nil
 	}
-	sv, err := core.DecodeStateVector(e.StateVector)
+	chains, outputs, err := core.StateSections(e.StateVector)
 	if err != nil {
 		return "", "", err
 	}
 	switch {
-	case !sv.OutputsEqual(refSV):
+	case !bytes.Equal(outputs, refOutputs):
 		return OutcomeEscaped, "", nil
-	case !sv.StateEqual(refSV):
+	case !bytes.Equal(chains, refChains):
 		return OutcomeLatent, "", nil
 	default:
 		return OutcomeOverwritten, "", nil

@@ -231,7 +231,10 @@ type Experiment struct {
 	// breakpoint fell beyond the workload's execution never happen.
 	Injected int
 	Term     target.Termination
-	State    *StateVector
+	// State is the logged state vector in its wire encoding
+	// (StateVector.Encode; DecodeStateVector reads it back) and becomes the
+	// row's LoggedSystemState.stateVector as is. Nil logs the empty vector.
+	State []byte
 }
 
 // Data renders the experimentData column content.

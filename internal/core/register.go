@@ -28,11 +28,23 @@ func RegisterTarget(store *dbase.Store, ops target.Operations, description strin
 	if err := store.PutTargetSystem(ts); err != nil {
 		return err
 	}
-	var rows []dbase.LocationRow
-	for _, ci := range ops.Chains() {
-		writable := make(map[int]bool, len(ci.Writable))
+	chains := ops.Chains()
+	nRows, maxBits := 0, 0
+	for _, ci := range chains {
+		nRows += len(ci.Fields)
+		maxBits = max(maxBits, ci.Bits)
+	}
+	// One bit table serves every chain: a map per chain cost more than the
+	// rows themselves.
+	rows := make([]dbase.LocationRow, 0, nRows)
+	writable := make([]bool, maxBits)
+	isWritable := func(bit int) bool { return bit >= 0 && bit < len(writable) && writable[bit] }
+	for _, ci := range chains {
+		clear(writable)
 		for _, b := range ci.Writable {
-			writable[b] = true
+			if b >= 0 && b < len(writable) {
+				writable[b] = true
+			}
 		}
 		for _, f := range ci.Fields {
 			rows = append(rows, dbase.LocationRow{
@@ -41,7 +53,7 @@ func RegisterTarget(store *dbase.Store, ops target.Operations, description strin
 				ChainName:    ci.Name,
 				FirstBit:     f.FirstBit,
 				Width:        f.Width,
-				Writable:     writable[f.FirstBit],
+				Writable:     isWritable(f.FirstBit),
 			})
 		}
 	}

@@ -363,7 +363,7 @@ func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultm
 				tc.Emit(obsv.EvHang, fmt.Sprintf("watchdog=%v", c.ExperimentTimeout))
 			}
 			out.hung = true
-			out.exp = Experiment{Plan: plan, State: &StateVector{}}
+			out.exp = Experiment{Plan: plan}
 			return out
 		}
 		if !target.IsTransient(err) {
@@ -373,7 +373,7 @@ func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultm
 		if attempt >= c.RetryLimit {
 			out.failed = true
 			out.cause = err
-			out.exp = Experiment{Plan: plan, State: &StateVector{}}
+			out.exp = Experiment{Plan: plan}
 			return out
 		}
 		out.retries++
@@ -1174,6 +1174,10 @@ func (r *Runner) report(p Progress) {
 }
 
 func (r *Runner) experimentRow(name, parent string, exp Experiment) dbase.ExperimentRow {
+	state := exp.State
+	if state == nil {
+		state = emptyState
+	}
 	return dbase.ExperimentRow{
 		ExperimentName:    name,
 		ParentExperiment:  parent,
@@ -1183,7 +1187,7 @@ func (r *Runner) experimentRow(name, parent string, exp Experiment) dbase.Experi
 		Mechanism:         exp.Term.Mechanism,
 		Cycles:            exp.Term.Cycles,
 		Iterations:        exp.Term.Iterations,
-		StateVector:       exp.State.Encode(),
+		StateVector:       state,
 	}
 }
 

@@ -183,10 +183,12 @@ func TestTechniqueRegistry(t *testing.T) {
 		t.Fatal("empty registration should fail")
 	}
 	// A custom technique registers and validates (the §2.1 extension path).
+	// The registry is process-wide, so every run of the test (-count) takes
+	// a name no earlier run registered.
 	custom := func(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
 		return faultInjectorSCIFI(ops, c, plan)
 	}
-	if err := RegisterTechnique("custom-test-technique", custom, nil); err != nil {
+	if err := RegisterTechnique(fmt.Sprintf("custom-test-technique-%d", len(Techniques())), custom, nil); err != nil {
 		t.Fatal(err)
 	}
 }

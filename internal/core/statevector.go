@@ -140,158 +140,195 @@ func (c *svCursor) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (c *svCursor) str() (string, error) {
-	n, err := c.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > svMaxStr {
-		return "", fmt.Errorf("string length %d too large", n)
-	}
-	b, err := c.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (c *svCursor) bytes() ([]byte, error) {
+// block reads a length-prefixed byte block of at most limit bytes; kind
+// names it in the error ("string", "byte block").
+func (c *svCursor) block(limit uint32, kind string) ([]byte, error) {
 	n, err := c.u32()
 	if err != nil {
 		return nil, err
 	}
-	if n > svMaxList {
-		return nil, fmt.Errorf("byte block length %d too large", n)
+	if n > limit {
+		return nil, fmt.Errorf("%s length %d too large", kind, n)
 	}
 	return c.take(int(n))
 }
 
-// env decodes the environment history section. A first pass walks the
-// length prefixes, checking each iteration against the bytes actually left,
-// so nothing is ever sized from a claimed count; then every iteration is
-// filled into one exactly-sized backing array as a cap-clamped window.
-func (c *svCursor) env() ([][]uint32, error) {
-	nEnv, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nEnv > svMaxList {
-		return nil, fmt.Errorf("iteration count %d too large", nEnv)
-	}
-	walk := *c
-	words := 0
-	for i := uint32(0); i < nEnv; i++ {
-		n, err := walk.u32()
-		if err == nil && n > svMaxList {
-			err = fmt.Errorf("length %d too large", n)
-		}
-		if err == nil {
-			_, err = walk.take(4 * int(n))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", i, err)
-		}
-		words += int(n)
-	}
-	if nEnv == 0 {
-		return nil, nil
-	}
-	vals := make([]uint32, words)
-	env := make([][]uint32, nEnv)
-	start := 0
-	for i := range env {
-		// The walk above proved every read below in bounds.
-		n, _ := c.u32()
-		b, _ := c.take(4 * int(n))
-		end := start + int(n)
-		iter := vals[start:end:end]
-		for j := range iter {
-			iter[j] = binary.LittleEndian.Uint32(b[4*j:])
-		}
-		env[i] = iter
-		start = end
-	}
-	return env, nil
+func (c *svCursor) str() ([]byte, error)   { return c.block(svMaxStr, "string") }
+func (c *svCursor) bytes() ([]byte, error) { return c.block(svMaxList, "byte block") }
+
+// svLayout locates the sections of a validated encoding. Each offset is
+// where that section's count prefix starts, and each section ends where the
+// next begins: chains | memory | env | trace, then the end of the data.
+type svLayout struct {
+	chains, memory, env, trace int
 }
 
-// DecodeStateVector inverts Encode. Byte blocks in the result alias the
-// input slice; callers must not mutate data afterwards.
-func DecodeStateVector(data []byte) (*StateVector, error) {
-	c := &svCursor{data: data}
+// walkStateVector is the one validator of the state-vector encoding: it
+// checks the magic, every count and length against its limit and against
+// the bytes actually left, and that nothing trails the trace section. It
+// reads only length prefixes and fixed-width fields and allocates nothing
+// unless it fails. DecodeStateVector and StateSections both start here.
+func walkStateVector(data []byte) (svLayout, error) {
+	var l svLayout
+	c := svCursor{data: data}
 	magic, err := c.take(4)
 	if err != nil || string(magic) != svMagic {
-		return nil, fmt.Errorf("core: state vector has bad magic")
+		return l, fmt.Errorf("core: state vector has bad magic")
 	}
-	fail := func(section string, err error) (*StateVector, error) {
+	fail := func(section string, err error) (svLayout, error) {
 		if err == nil {
 			err = fmt.Errorf("count exceeds limit")
 		}
-		return nil, fmt.Errorf("core: decode state vector %s: %w", section, err)
+		return svLayout{}, fmt.Errorf("core: decode state vector %s: %w", section, err)
 	}
 
-	sv := &StateVector{}
+	l.chains = c.off
 	nChains, err := c.u32()
 	if err != nil || nChains > svMaxList {
 		return fail("chain count", err)
 	}
 	for i := uint32(0); i < nChains; i++ {
-		name, err := c.str()
-		if err != nil {
+		if _, err := c.str(); err != nil {
 			return fail("chain name", err)
 		}
-		bits, err := c.u32()
-		if err != nil {
+		if _, err := c.u32(); err != nil {
 			return fail("chain bits", err)
 		}
-		data, err := c.bytes()
-		if err != nil {
+		if _, err := c.bytes(); err != nil {
 			return fail("chain data", err)
 		}
-		sv.Chains = append(sv.Chains, ChainState{Name: name, Bits: int(bits), Data: data})
 	}
+
+	l.memory = c.off
 	nMem, err := c.u32()
 	if err != nil || nMem > svMaxList {
 		return fail("memory count", err)
 	}
 	for i := uint32(0); i < nMem; i++ {
-		addr, err := c.u32()
-		if err != nil {
+		if _, err := c.u32(); err != nil {
 			return fail("memory addr", err)
 		}
-		val, err := c.u32()
-		if err != nil {
+		if _, err := c.u32(); err != nil {
 			return fail("memory value", err)
 		}
-		sv.Memory = append(sv.Memory, MemWord{Addr: addr, Value: val})
 	}
-	if sv.Env, err = c.env(); err != nil {
+
+	l.env = c.off
+	nEnv, err := c.u32()
+	if err == nil && nEnv > svMaxList {
+		err = fmt.Errorf("iteration count %d too large", nEnv)
+	}
+	if err != nil {
 		return fail("env history", err)
 	}
+	for i := uint32(0); i < nEnv; i++ {
+		n, err := c.u32()
+		if err == nil && n > svMaxList {
+			err = fmt.Errorf("length %d too large", n)
+		}
+		if err == nil {
+			_, err = c.take(4 * int(n))
+		}
+		if err != nil {
+			return fail("env history", fmt.Errorf("iteration %d: %w", i, err))
+		}
+	}
+
+	l.trace = c.off
 	nTrace, err := c.u32()
 	if err != nil || nTrace > svMaxList {
 		return fail("trace count", err)
 	}
 	for i := uint32(0); i < nTrace; i++ {
-		cycle, err := c.u64()
-		if err != nil {
+		if _, err := c.u64(); err != nil {
 			return fail("trace cycle", err)
 		}
-		pc, err := c.u32()
-		if err != nil {
+		if _, err := c.u32(); err != nil {
 			return fail("trace pc", err)
 		}
-		dis, err := c.str()
-		if err != nil {
+		if _, err := c.str(); err != nil {
 			return fail("trace disasm", err)
 		}
-		coreBits, err := c.bytes()
-		if err != nil {
+		if _, err := c.bytes(); err != nil {
 			return fail("trace core", err)
 		}
-		sv.Trace = append(sv.Trace, TraceSample{Cycle: cycle, PC: pc, Disasm: dis, Core: coreBits})
 	}
 	if rest := len(c.data) - c.off; rest != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in state vector", rest)
+		return svLayout{}, fmt.Errorf("core: %d trailing bytes in state vector", rest)
+	}
+	return l, nil
+}
+
+// StateSections validates an encoded state vector exactly as
+// DecodeStateVector does and returns, without allocating, two spans of it:
+// the chain section and the outputs section (memory followed by env
+// history). The encoding is canonical, so two valid vectors have equal
+// outputs spans exactly when OutputsEqual holds for their decodings, and
+// equal spans of both kinds exactly when StateEqual holds. Both spans alias
+// data.
+func StateSections(data []byte) (chains, outputs []byte, err error) {
+	l, err := walkStateVector(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data[l.chains:l.memory], data[l.memory:l.trace], nil
+}
+
+// DecodeStateVector inverts Encode. Byte blocks in the result alias the
+// input slice; callers must not mutate data afterwards.
+func DecodeStateVector(data []byte) (*StateVector, error) {
+	l, err := walkStateVector(data)
+	if err != nil {
+		return nil, err
+	}
+	// The walk proved every read below in bounds and every count within its
+	// limit, so slices are sized from the counts and read errors cannot occur.
+	c := &svCursor{data: data, off: l.chains}
+	sv := &StateVector{}
+	if n, _ := c.u32(); n > 0 {
+		sv.Chains = make([]ChainState, n)
+		for i := range sv.Chains {
+			name, _ := c.str()
+			bits, _ := c.u32()
+			data, _ := c.bytes()
+			sv.Chains[i] = ChainState{Name: string(name), Bits: int(bits), Data: data}
+		}
+	}
+	if n, _ := c.u32(); n > 0 {
+		sv.Memory = make([]MemWord, n)
+		for i := range sv.Memory {
+			addr, _ := c.u32()
+			val, _ := c.u32()
+			sv.Memory[i] = MemWord{Addr: addr, Value: val}
+		}
+	}
+	if n, _ := c.u32(); n > 0 {
+		// Every iteration is a cap-clamped window of one backing array: the
+		// section holds one length word per iteration plus the values.
+		vals := make([]uint32, (l.trace-c.off)/4-int(n))
+		sv.Env = make([][]uint32, n)
+		start := 0
+		for i := range sv.Env {
+			w, _ := c.u32()
+			b, _ := c.take(4 * int(w))
+			end := start + int(w)
+			iter := vals[start:end:end]
+			for j := range iter {
+				iter[j] = binary.LittleEndian.Uint32(b[4*j:])
+			}
+			sv.Env[i] = iter
+			start = end
+		}
+	}
+	if n, _ := c.u32(); n > 0 {
+		sv.Trace = make([]TraceSample, n)
+		for i := range sv.Trace {
+			cycle, _ := c.u64()
+			pc, _ := c.u32()
+			dis, _ := c.str()
+			coreBits, _ := c.bytes()
+			sv.Trace[i] = TraceSample{Cycle: cycle, PC: pc, Disasm: string(dis), Core: coreBits}
+		}
 	}
 	return sv, nil
 }
@@ -388,57 +425,75 @@ func (sv *StateVector) DiffSummary(o *StateVector) string {
 	return sb.String()
 }
 
+// emptyState is the empty vector's encoding, logged for experiments that
+// captured no state: hang and failed rows, and techniques returning a nil
+// Experiment.State. Rows share it; nothing writes to it.
+var emptyState = (&StateVector{}).Encode()
+
 // captureState reads the observable state through the target operations:
 // every scan chain, the workload's result memory and the recorded
 // environment history (§3.3: "the logged system state typically includes
 // the contents of all the locations in the target system that are
-// observable ... as well as the workload input and output values").
-func captureState(ops target.Operations, resultAddrs []uint32, trace []target.TraceEntry) (*StateVector, error) {
+// observable ... as well as the workload input and output values"), plus
+// the detail-mode trace. It returns the state in its wire encoding
+// (StateVector.Encode), appended once into one exactly sized buffer that
+// the row keeps as is: chain images are packed in place and the env log is
+// copied straight from the target's view.
+func captureState(ops target.Operations, resultAddrs []uint32, trace []target.TraceEntry) ([]byte, error) {
 	chains := ops.Chains()
-	// All chain images (and trace samples) pack into one contiguous buffer:
-	// one allocation for the whole capture tail instead of one per chain.
-	packed := 0
+	envVals, envEnds := ops.EnvLog()
+	n := len(svMagic) + 4
 	for _, ci := range chains {
-		packed += (ci.Bits + 7) / 8
+		n += 4 + len(ci.Name) + 4 + 4 + (ci.Bits+7)/8
 	}
+	n += 4 + 8*len(resultAddrs)
+	n += 4 + 4*len(envEnds) + 4*len(envVals)
+	n += 4
 	for _, te := range trace {
-		packed += (te.Core.Len() + 7) / 8
+		n += 8 + 4 + 4 + len(te.Disasm) + 4 + (te.Core.Len()+7)/8
 	}
-	buf := make([]byte, 0, packed)
 
-	sv := &StateVector{Chains: make([]ChainState, 0, len(chains))}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, n)
+	buf = append(buf, svMagic...)
+	buf = le.AppendUint32(buf, uint32(len(chains)))
 	for _, ci := range chains {
 		bits, err := ops.ReadScanChain(ci.Name)
 		if err != nil {
 			return nil, fmt.Errorf("capture state: %w", err)
 		}
-		start := len(buf)
+		buf = le.AppendUint32(buf, uint32(len(ci.Name)))
+		buf = append(buf, ci.Name...)
+		buf = le.AppendUint32(buf, uint32(bits.Len()))
+		buf = le.AppendUint32(buf, uint32((bits.Len()+7)/8))
 		buf = bits.AppendPacked(buf)
-		sv.Chains = append(sv.Chains, ChainState{Name: ci.Name, Bits: bits.Len(), Data: buf[start:len(buf):len(buf)]})
 	}
-	if len(resultAddrs) > 0 {
-		sv.Memory = make([]MemWord, 0, len(resultAddrs))
-	}
+	buf = le.AppendUint32(buf, uint32(len(resultAddrs)))
 	for _, addr := range resultAddrs {
 		vals, err := ops.ReadMemory(addr, 1)
 		if err != nil {
 			return nil, fmt.Errorf("capture state: %w", err)
 		}
-		sv.Memory = append(sv.Memory, MemWord{Addr: addr, Value: vals[0]})
+		buf = le.AppendUint32(buf, addr)
+		buf = le.AppendUint32(buf, vals[0])
 	}
-	sv.Env = ops.EnvHistory()
-	if len(trace) > 0 {
-		sv.Trace = make([]TraceSample, 0, len(trace))
+	buf = le.AppendUint32(buf, uint32(len(envEnds)))
+	start := uint32(0)
+	for _, end := range envEnds {
+		buf = le.AppendUint32(buf, end-start)
+		for _, v := range envVals[start:end] {
+			buf = le.AppendUint32(buf, v)
+		}
+		start = end
 	}
+	buf = le.AppendUint32(buf, uint32(len(trace)))
 	for _, te := range trace {
-		start := len(buf)
+		buf = le.AppendUint64(buf, te.Cycle)
+		buf = le.AppendUint32(buf, te.PC)
+		buf = le.AppendUint32(buf, uint32(len(te.Disasm)))
+		buf = append(buf, te.Disasm...)
+		buf = le.AppendUint32(buf, uint32((te.Core.Len()+7)/8))
 		buf = te.Core.AppendPacked(buf)
-		sv.Trace = append(sv.Trace, TraceSample{
-			Cycle:  te.Cycle,
-			PC:     te.PC,
-			Disasm: te.Disasm,
-			Core:   buf[start:len(buf):len(buf)],
-		})
 	}
-	return sv, nil
+	return buf, nil
 }

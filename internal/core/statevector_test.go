@@ -206,3 +206,17 @@ func TestDecodeStateVectorHostileEnvBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestStateSectionsZeroAlloc pins that classification's walk over a valid
+// row allocates nothing, on the largest row a real campaign logs.
+func TestStateSectionsZeroAlloc(t *testing.T) {
+	row := controlReferenceRow(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := StateSections(row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StateSections allocated %.1f times per row", allocs)
+	}
+}

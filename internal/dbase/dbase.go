@@ -533,7 +533,11 @@ type ExperimentRow struct {
 	Mechanism         string
 	Cycles            uint64
 	Iterations        uint64
-	StateVector       []byte
+	// StateVector is the encoded state vector. On a row read from a Store it
+	// is the store's own immutable copy, shared rather than copied, so
+	// classification reads every row's bytes in place: callers must not
+	// modify it.
+	StateVector []byte
 }
 
 // PutExperiment logs one experiment.
@@ -693,7 +697,7 @@ func experimentFromRow(r []sqldb.Value) ExperimentRow {
 		Mechanism:         r[5].Text,
 		Cycles:            uint64(r[6].Int),
 		Iterations:        uint64(r[7].Int),
-		StateVector:       append([]byte(nil), r[8].Blob...),
+		StateVector:       r[8].Blob,
 	}
 	if !r[1].IsNull() {
 		e.ParentExperiment = r[1].Text

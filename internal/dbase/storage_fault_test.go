@@ -233,3 +233,65 @@ func TestPutTargetSystemReportsFaultLocationError(t *testing.T) {
 		t.Fatalf("err = %v, want it to name the FaultLocation delete", err)
 	}
 }
+
+// TestWALOpenRetryLeavesLogDurable: OpenStoreWALFS retries a transient fault
+// anywhere in a fresh WAL-mode open, and whichever op the fault hit, a row
+// acknowledged after the open must survive a power cut. A first attempt
+// that created the log and then failed its header or directory sync left a
+// log the retry took as valid, so its name and header never became durable
+// and the next crash erased it with every acknowledged row.
+func TestWALOpenRetryLeavesLogDurable(t *testing.T) {
+	stage := func(t *testing.T) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "camp.db")
+		s, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTargetSystem(sampleTarget()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutCampaign(sampleCampaign("durable")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	opts := sqldb.WALOptions{SyncEvery: 1}
+	calib := newFaultyT(t, vfs.FaultyConfig{NonDurableRenames: true})
+	s, err := OpenStoreWALFS(stage(t), calib, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openOps := calib.Stats().Ops
+	s.Close()
+
+	for k := int64(0); k < openOps; k++ {
+		path := stage(t)
+		fsys := newFaultyT(t, vfs.FaultyConfig{
+			NonDurableRenames: true,
+			Schedule:          vfs.Schedule{{Op: uint64(k), Kind: vfs.FaultSyncErr}},
+		})
+		s, err := OpenStoreWALFS(path, fsys, opts)
+		if err != nil {
+			t.Fatalf("fault at op %d: open: %v", k, err)
+		}
+		if err := s.PutExperiments(makeExperiments("durable", 1)); err != nil {
+			t.Fatalf("fault at op %d: put: %v", k, err)
+		}
+		if err := fsys.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close() // the crash already killed its handles
+		fsys.ClearCrashPoint()
+		recovered, err := OpenStoreFS(path, fsys)
+		if err != nil {
+			t.Fatalf("fault at op %d: recover: %v", k, err)
+		}
+		if exps, err := recovered.Experiments("durable"); err != nil || len(exps) != 1 {
+			t.Fatalf("fault at op %d: acknowledged row lost in the crash: recovered %d rows, %v", k, len(exps), err)
+		}
+	}
+}

@@ -274,18 +274,13 @@ func (r *Recorder) Reset() {
 	r.ends = r.ends[:0]
 }
 
-// History returns the recorded output vectors in iteration order. The result
-// is a private copy: every iteration is a cap-clamped window of one fresh
-// array, so appending to one cannot overwrite the next.
-func (r *Recorder) History() [][]uint32 {
-	vals := append([]uint32(nil), r.vals...)
-	out := make([][]uint32, len(r.ends))
-	start := uint32(0)
-	for i, end := range r.ends {
-		out[i] = vals[start:end:end]
-		start = end
-	}
-	return out
+// Log returns the recording as read-only views of the flat log: vals holds
+// every recorded word in iteration order and ends[i] is len(vals) after
+// iteration i. The views copy nothing and stay valid until the next Step,
+// Reset or RestoreState; both are cap-clamped, so appending to one cannot
+// write into the recorder.
+func (r *Recorder) Log() (vals, ends []uint32) {
+	return r.vals[:len(r.vals):len(r.vals)], r.ends[:len(r.ends):len(r.ends)]
 }
 
 // Stateful is implemented by simulators whose internal state can be saved

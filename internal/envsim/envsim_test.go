@@ -156,22 +156,30 @@ func TestPendulumForceClamp(t *testing.T) {
 	}
 }
 
+// history splits the recorder's flat log into one private slice per
+// iteration, the shape the tests compare.
+func history(r *Recorder) [][]uint32 {
+	vals, ends := r.Log()
+	out := make([][]uint32, len(ends))
+	start := uint32(0)
+	for i, end := range ends {
+		out[i] = append([]uint32(nil), vals[start:end]...)
+		start = end
+	}
+	return out
+}
+
 func TestRecorder(t *testing.T) {
 	r := NewRecorder(NewEcho())
 	r.Step([]uint32{1})
 	r.Step([]uint32{2, 3})
-	h := r.History()
-	if len(h) != 2 || h[0][0] != 1 || h[1][1] != 3 {
-		t.Fatalf("history = %v", h)
-	}
-	// History is a deep copy.
-	h[0][0] = 99
-	if r.History()[0][0] != 1 {
-		t.Fatal("history aliased internal state")
+	vals, ends := r.Log()
+	if !reflect.DeepEqual(vals, []uint32{1, 2, 3}) || !reflect.DeepEqual(ends, []uint32{1, 3}) {
+		t.Fatalf("log = %v, ends %v", vals, ends)
 	}
 	r.Reset()
-	if len(r.History()) != 0 {
-		t.Fatal("reset did not clear history")
+	if vals, ends := r.Log(); len(vals) != 0 || len(ends) != 0 {
+		t.Fatal("reset did not clear the log")
 	}
 	if r.Name() != "echo" {
 		t.Fatal("recorder name should delegate")
@@ -236,7 +244,7 @@ func TestRecorderStateful(t *testing.T) {
 	if err := r.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	h := r.History()
+	h := history(r)
 	if len(h) != 2 || h[1][0] != 200 {
 		t.Fatalf("history after restore = %v", h)
 	}
@@ -276,7 +284,7 @@ func TestRestoreStateRoundTrip(t *testing.T) {
 				step(rec, i)
 			}
 			snap := rec.SaveState()
-			wantHist := rec.History()
+			wantHist := history(rec)
 
 			// Reference trajectory from the snapshot point.
 			var wantOut [][]uint32
@@ -293,7 +301,7 @@ func TestRestoreStateRoundTrip(t *testing.T) {
 			if err := rec.RestoreState(snap); err != nil {
 				t.Fatal(err)
 			}
-			if got := rec.History(); !reflect.DeepEqual(got, wantHist) {
+			if got := history(rec); !reflect.DeepEqual(got, wantHist) {
 				t.Fatalf("restored history = %v, want %v", got, wantHist)
 			}
 			for i := 5; i < 10; i++ {
@@ -328,30 +336,35 @@ func TestRestoreStateTypeMismatch(t *testing.T) {
 	}
 }
 
-// TestRecorderHistoryIsPrivate pins History's copy contract across a
-// restore: a history taken earlier is not rewritten by RestoreState or by
-// later steps that reuse the recorder's buffers.
-func TestRecorderHistoryIsPrivate(t *testing.T) {
+// TestRecorderLogViews pins Log's view contract: the views copy nothing
+// (they see the recorder's own buffers, including after a restore into
+// them), yet they are cap-clamped, so appending to one never writes into
+// the recorder.
+func TestRecorderLogViews(t *testing.T) {
 	r := NewRecorder(NewJetEngine())
 	r.Step([]uint32{1, 2})
 	snap := r.SaveState()
 	r.Step([]uint32{3})
 	r.Step([]uint32{4, 5, 6})
-	h := r.History()
-	want := [][]uint32{{1, 2}, {3}, {4, 5, 6}}
+	vals, ends := r.Log()
+	if allocs := testing.AllocsPerRun(100, func() { vals, ends = r.Log() }); allocs != 0 {
+		t.Fatalf("Log allocated %.1f times per call", allocs)
+	}
+	if !reflect.DeepEqual(history(r), [][]uint32{{1, 2}, {3}, {4, 5, 6}}) {
+		t.Fatalf("history = %v", history(r))
+	}
+	_ = append(vals, 99)
+	_ = append(ends, 99)
 	if err := r.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		r.Step([]uint32{70 + uint32(i), 80})
+	r.Step([]uint32{7})
+	if got := history(r); !reflect.DeepEqual(got, [][]uint32{{1, 2}, {7}}) {
+		t.Fatalf("append to a view wrote into the recorder: history = %v", got)
 	}
-	if !reflect.DeepEqual(h, want) {
-		t.Fatalf("earlier history = %v, want %v", h, want)
-	}
-	// Each iteration is cap-clamped: appending to one leaves the next alone.
-	_ = append(h[0], 99)
-	if h[1][0] != 3 {
-		t.Fatalf("append to iteration 0 overwrote iteration 1: %v", h)
+	// The restore and the step reused the buffers the earlier views show.
+	if vals[2] != 7 || ends[1] != 3 {
+		t.Fatalf("views %v %v do not alias the recorder's log", vals, ends)
 	}
 }
 
@@ -362,7 +375,7 @@ func TestRecorderSnapshotIsPrivate(t *testing.T) {
 	r.Step([]uint32{1})
 	r.Step([]uint32{2, 3})
 	snap := r.SaveState()
-	want := r.History()
+	want := history(r)
 
 	r.Step([]uint32{4})
 	r.Reset()
@@ -373,7 +386,7 @@ func TestRecorderSnapshotIsPrivate(t *testing.T) {
 	if err := fresh.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.History(); !reflect.DeepEqual(got, want) {
+	if got := history(fresh); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot changed under its source: %v, want %v", got, want)
 	}
 	// Nor does stepping a recorder restored from it.
@@ -381,7 +394,7 @@ func TestRecorderSnapshotIsPrivate(t *testing.T) {
 	if err := r.RestoreState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.History(); !reflect.DeepEqual(got, want) {
+	if got := history(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot changed under a restored recorder: %v, want %v", got, want)
 	}
 }

@@ -445,17 +445,20 @@ func openWAL(fsys vfs.FS, path string, gen uint64, opts WALOptions, apply func(s
 		if _, err := f.WriteAt(walHeader(gen), 0); err != nil {
 			return fail(fmt.Errorf("reset wal: %w", err))
 		}
-		if err := f.Sync(); err != nil {
-			return fail(fmt.Errorf("reset wal: %w", err))
-		}
-		// The file's *name* lives in directory metadata: without a directory
-		// sync a power cut can erase a freshly created log along with every
-		// record appended to it.
-		if err := vfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
-			return fail(fmt.Errorf("open wal: %w", err))
-		}
 	} else if err := f.Truncate(end); err != nil { // drop any torn tail
 		return fail(fmt.Errorf("truncate wal tail: %w", err))
+	}
+	// Every open makes the log durable before a record can be acknowledged,
+	// not only one that wrote the header: an earlier attempt may have
+	// created the file and failed before these syncs, and its volatile log
+	// looks valid to a retry. The file's *name* lives in directory metadata:
+	// without a directory sync a power cut can erase the log along with
+	// every record appended to it.
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("open wal: %w", err))
+	}
+	if err := vfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
+		return fail(fmt.Errorf("open wal: %w", err))
 	}
 	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		return fail(fmt.Errorf("open wal: %w", err))

@@ -62,5 +62,5 @@ func (BaseTarget) SetDetailMode(bool) {}
 // TraceLog reports no trace.
 func (BaseTarget) TraceLog() []TraceEntry { return nil }
 
-// EnvHistory reports no environment simulator.
-func (BaseTarget) EnvHistory() [][]uint32 { return nil }
+// EnvLog reports no environment simulator.
+func (BaseTarget) EnvLog() (vals, ends []uint32) { return nil, nil }

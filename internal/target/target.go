@@ -157,9 +157,12 @@ type Operations interface {
 	SetDetailMode(on bool)
 	// TraceLog returns the detail-mode trace of the last execution.
 	TraceLog() []TraceEntry
-	// EnvHistory returns the environment simulator's recorded outputs, one
-	// snapshot per workload iteration, or nil without a simulator.
-	EnvHistory() [][]uint32
+	// EnvLog returns the environment simulator's recorded outputs as one
+	// flat log: vals holds every word in iteration order and ends[i] is
+	// len(vals) after iteration i, so iterations may differ in width. Both
+	// are read-only views of the target's own log, valid until the target
+	// runs again; both are nil without a simulator.
+	EnvLog() (vals, ends []uint32)
 }
 
 // Checkpointer is the optional capability behind the scifi-checkpoint

@@ -404,12 +404,12 @@ func (t *ThorTarget) SetDetailMode(on bool) {
 // TraceLog returns the detail-mode trace of the last execution.
 func (t *ThorTarget) TraceLog() []TraceEntry { return t.trace }
 
-// EnvHistory returns the environment simulator's recorded outputs.
-func (t *ThorTarget) EnvHistory() [][]uint32 {
+// EnvLog returns views of the environment simulator's recorded outputs.
+func (t *ThorTarget) EnvLog() (vals, ends []uint32) {
 	if t.env == nil {
-		return nil
+		return nil, nil
 	}
-	return t.env.History()
+	return t.env.Log()
 }
 
 // SaveCheckpoint snapshots the complete system state into the single legacy
