@@ -41,7 +41,7 @@ test:
 # internal/obsv, the WAL group-commit machinery in internal/sqldb, and the
 # fault-injecting filesystem (shared op counter + durability maps) in
 # internal/vfs, the multi-tenant campaign service (queue scheduler,
-# shard aggregator, drain) in internal/service, and the store layer that
+# scratch-store merge, drain) in internal/service, and the store layer that
 # drains provenance journals while runners emit into them in
 # internal/dbase; run all ten under the race detector on every change.
 race:
@@ -132,8 +132,9 @@ storagesmoke:
 # seeded random point mid-campaign, inspected offline (every persisted
 # row bit-identical to a no-crash reference), restarted on the same data
 # directory, and polled until the resumed campaigns match the reference
-# row for row. Shard counts rotate across iterations so sharded
-# interruption and reassembly ride the same oracle.
+# row for row. Shard counts (width multipliers) rotate across iterations so
+# interruption and resume at several widths ride the same oracle; the
+# SIGTERM window is sized from one measured undisturbed run per width pair.
 servesmoke:
 	$(GO) run ./cmd/crashtest -serve -n 10 -experiments 80 -seed 3
 

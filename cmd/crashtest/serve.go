@@ -13,9 +13,11 @@
 // resumed stores must match the reference runs row for row, and a final
 // clean drain must leave no queue file behind.
 //
-// Shards are rotated in (campaign A runs sharded every third iteration,
-// campaign B every other), so sharded interruption, resume and reassembly
-// ride through the same drain/restart oracle.
+// Widths are rotated in (campaign A runs with shards=2 every third
+// iteration, campaign B with shards=3 every other), so interruption and
+// resume at several worker counts ride through the same drain/restart
+// oracle. The SIGTERM horizon of each width pair is measured once, from one
+// undisturbed serve run, as the other modes measure theirs.
 package main
 
 import (
@@ -204,7 +206,7 @@ func pollDone(base, id string, timeout time.Duration) error {
 				}
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("campaign %s not done after %s", id, timeout)
 }
@@ -279,23 +281,25 @@ type serveCampaign struct {
 	want []dbase.ExperimentRow
 }
 
+// serveSpec is the submission of one harness campaign.
+func serveSpec(tenant, name string, seed int64, shards int, opt options) goofi.CampaignSpec {
+	return goofi.CampaignSpec{
+		Tenant:      tenant,
+		Campaign:    name,
+		Workload:    "bubblesort",
+		Locations:   "chain:internal.core",
+		Experiments: opt.Experiments,
+		Seed:        seed,
+		TMin:        10,
+		TMax:        1400,
+		Shards:      shards,
+		Chaos:       opt.Chaos,
+	}
+}
+
 // makeServeCampaign builds the spec and runs its in-memory reference.
 func makeServeCampaign(tenant, name string, seed int64, shards int, opt options) (serveCampaign, error) {
-	sc := serveCampaign{
-		spec: goofi.CampaignSpec{
-			Tenant:      tenant,
-			Campaign:    name,
-			Workload:    "bubblesort",
-			Locations:   "chain:internal.core",
-			Experiments: opt.Experiments,
-			Seed:        seed,
-			TMin:        10,
-			TMax:        1400,
-			Shards:      shards,
-			Chaos:       opt.Chaos,
-		},
-		id: tenant + "/" + name,
-	}
+	sc := serveCampaign{spec: serveSpec(tenant, name, seed, shards, opt), id: tenant + "/" + name}
 	c, err := campaignFor(name, seed, opt.Experiments)
 	if err != nil {
 		return sc, err
@@ -316,8 +320,17 @@ func runServeHarness(out *os.File, opt options) error {
 		return err
 	}
 	interrupted, completed := 0, 0
+	horizons := map[[2]int]time.Duration{}
 	for i := 0; i < opt.Iterations; i++ {
-		res, err := serveIteration(exe, opt, i)
+		shards := serveShards(i)
+		horizon, ok := horizons[shards]
+		if !ok {
+			if horizon, err = serveHorizon(exe, opt, shards); err != nil {
+				return fmt.Errorf("horizon run (shards %v): %w", shards, err)
+			}
+			horizons[shards] = horizon
+		}
+		res, err := serveIteration(exe, opt, i, shards, horizon)
 		if err != nil {
 			return fmt.Errorf("iteration %d (seed %d): %w", i, opt.Seed+int64(i), err)
 		}
@@ -327,8 +340,9 @@ func runServeHarness(out *os.File, opt options) error {
 			completed++
 		}
 		if opt.Verbose {
-			fmt.Fprintf(out, "iter %2d: seed=%d sigterm=%v recovered=%d resumed=%v %s\n",
-				i, opt.Seed+int64(i), res.killDelay, res.recovered, res.killedLive, res.outcome)
+			fmt.Fprintf(out, "iter %2d: seed=%d shards=%v sigterm=%v/%v recovered=%d resumed=%v %s\n",
+				i, opt.Seed+int64(i), shards, res.killDelay, horizon.Round(time.Microsecond),
+				res.recovered, res.killedLive, res.outcome)
 		}
 	}
 	fmt.Fprintf(out, "crashtest -serve PASS: %d iterations (%d drained mid-campaign, %d finished first), %d experiments each\n",
@@ -336,7 +350,57 @@ func runServeHarness(out *os.File, opt options) error {
 	return nil
 }
 
-func serveIteration(exe string, opt options, iter int) (iterResult, error) {
+// serveShards is the shard count of campaigns A and B in iteration iter.
+func serveShards(iter int) [2]int {
+	var shards [2]int
+	if iter%3 == 2 {
+		shards[0] = 2
+	}
+	if iter%2 == 1 {
+		shards[1] = 3
+	}
+	return shards
+}
+
+// serveHorizon times one undisturbed serve cycle of an iteration's two
+// campaigns — from the submissions until both are done — and stretches it by
+// horizonSlack. SIGTERM delays drawn below it then land anywhere from before
+// A's first row to after both campaigns finished, however fast the service
+// runs them.
+func serveHorizon(exe string, opt options, shards [2]int) (time.Duration, error) {
+	dir, err := os.MkdirTemp("", "goofi-servetest-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	p, err := startServe(exe, dir)
+	if err != nil {
+		return 0, err
+	}
+	specs := []goofi.CampaignSpec{
+		serveSpec("acme", "horizon-a", opt.Seed, shards[0], opt),
+		serveSpec("beta", "horizon-b", opt.Seed+1000, shards[1], opt),
+	}
+	for _, spec := range specs {
+		if err = submitSpec(p.base, spec); err != nil {
+			break
+		}
+	}
+	start := time.Now()
+	for _, spec := range specs {
+		if err != nil {
+			break
+		}
+		err = pollDone(p.base, spec.Tenant+"/"+spec.Campaign, 2*time.Minute)
+	}
+	elapsed := time.Since(start)
+	if serr := p.sigterm(); err == nil {
+		err = serr
+	}
+	return time.Duration(horizonSlack(int64(elapsed))), err
+}
+
+func serveIteration(exe string, opt options, iter int, shards [2]int, horizon time.Duration) (iterResult, error) {
 	var res iterResult
 	seed := opt.Seed + int64(iter)
 	rng := rand.New(rand.NewSource(seed))
@@ -347,26 +411,19 @@ func serveIteration(exe string, opt options, iter int) (iterResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Rotate shard counts so sharded interruption and resume get coverage.
-	shardsA, shardsB := 0, 0
-	if iter%3 == 2 {
-		shardsA = 2
-	}
-	if iter%2 == 1 {
-		shardsB = 3
-	}
-	a, err := makeServeCampaign("acme", fmt.Sprintf("drill-%03d-a", iter), seed, shardsA, opt)
+	a, err := makeServeCampaign("acme", fmt.Sprintf("drill-%03d-a", iter), seed, shards[0], opt)
 	if err != nil {
 		return res, err
 	}
-	b, err := makeServeCampaign("beta", fmt.Sprintf("drill-%03d-b", iter), seed+1000, shardsB, opt)
+	b, err := makeServeCampaign("beta", fmt.Sprintf("drill-%03d-b", iter), seed+1000, shards[1], opt)
 	if err != nil {
 		return res, err
 	}
 
 	// Phase 1: daemon up, two tenants submit; B queues behind A at
-	// Concurrency=1. SIGTERM after a seeded delay sized to land anywhere
-	// from before A's first row to after both campaigns finished.
+	// Concurrency=1. SIGTERM after a seeded delay below the measured
+	// horizon, so it lands anywhere from before A's first row to after both
+	// campaigns finished.
 	p1, err := startServe(exe, dir)
 	if err != nil {
 		return res, err
@@ -377,7 +434,6 @@ func serveIteration(exe string, opt options, iter int) (iterResult, error) {
 	if err := submitSpec(p1.base, b.spec); err != nil {
 		return res, err
 	}
-	horizon := 25*time.Millisecond + time.Duration(opt.Experiments)*1500*time.Microsecond
 	res.killDelay = time.Duration(rng.Int63n(int64(horizon)))
 	time.Sleep(res.killDelay)
 	if err := p1.sigterm(); err != nil {

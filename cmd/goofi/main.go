@@ -95,7 +95,7 @@ Usage:
                   [-wal-sync SPEC] [-drain-timeout D]
   goofi submit    -addr HOST:PORT [-retries N] (-spec FILE | -tenant T
                   -campaign NAME -workload W -locations FILTER -n N [-seed S]
-                  [-workers W] [-shards K] [-chaos SPEC])
+                  [-workers W] [-chaos SPEC])
   goofi report    -db FILE [-campaigns A,B,...] [-format text|csv|html]
                   [-o FILE] [-locations=false]
   goofi analyze   -db FILE -campaign NAME [-gen-sql]

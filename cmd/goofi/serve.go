@@ -103,8 +103,7 @@ func cmdSubmit(args []string) error {
 	locations := fs.String("locations", "", "fault-location filter")
 	n := fs.Int("n", 0, "number of experiments")
 	seed := fs.Int64("seed", 0, "campaign seed")
-	workers := fs.Int("workers", 0, "in-shard worker count")
-	shards := fs.Int("shards", 0, "split across this many in-process shards")
+	workers := fs.Int("workers", 0, "worker count: how many experiments run at once")
 	chaos := fs.String("chaos", "", "chaos spec wrapping every target")
 	retries := fs.Int("retries", 4, "retry a 429 (queue full) response this many times, honouring Retry-After")
 	if err := fs.Parse(args); err != nil {
@@ -124,7 +123,7 @@ func cmdSubmit(args []string) error {
 		body, err = json.Marshal(goofi.CampaignSpec{
 			Tenant: *tenant, Campaign: *campaign, Workload: *workloadName,
 			Locations: *locations, Experiments: *n, Seed: *seed,
-			Workers: *workers, Shards: *shards, Chaos: *chaos,
+			Workers: *workers, Chaos: *chaos,
 		})
 	}
 	if err != nil {

@@ -643,9 +643,9 @@ func WilsonInterval(k, n int, z float64) CoverageInterval { return analysis.Wils
 // Campaign as a service: a multi-tenant daemon (`goofi serve`) that accepts
 // campaign submissions over a JSON/HTTP API, queues them behind a bounded
 // scheduler, executes each against its tenant's own WAL-backed database —
-// optionally split across in-process shards whose reassembled rows are
-// bit-identical to a single-process run — and survives SIGTERM by
-// checkpointing in-flight campaigns and persisting the queue for resume.
+// at any width, with rows bit-identical to a single-process run — and
+// survives SIGTERM by checkpointing in-flight campaigns and persisting the
+// queue for resume.
 type (
 	// CampaignService is the daemon; mount its Handler on an HTTP server
 	// and shut it down with Drain.

@@ -71,7 +71,7 @@ func (r *Runner) startMonitor() (*monitor, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	m.last = Progress{Campaign: r.campaign.Name, Total: r.ownedTotal()}
+	m.last = Progress{Campaign: r.campaign.Name, Total: r.campaign.NExperiments}
 	if sink != nil {
 		id, err := sink.NextRunID(r.campaign.Name)
 		if err != nil {
@@ -206,7 +206,7 @@ func (m *monitor) finish(sum Summary) error {
 	m.observe(Progress{
 		Campaign:    m.r.campaign.Name,
 		Done:        sum.Completed + sum.Skipped,
-		Total:       m.r.ownedTotal(),
+		Total:       m.r.campaign.NExperiments,
 		Skipped:     sum.Skipped,
 		Detected:    detectedOf(sum),
 		Retries:     sum.Retries,

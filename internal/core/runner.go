@@ -158,16 +158,6 @@ type Runner struct {
 	// persisted interval metrics); zero means one second.
 	MonitorInterval time.Duration
 
-	// ShardIndex and ShardCount split one campaign across cooperating
-	// runners. With ShardCount > 1, every runner draws the complete seeded
-	// plan stream (so the PRNG stays bit-aligned with a single-process run)
-	// but executes only the experiments whose index i satisfies
-	// i % ShardCount == ShardIndex. Each shard still performs its own
-	// reference run — the reference is deterministic, so every shard derives
-	// the identical golden row and reassembly keeps exactly one. ShardCount
-	// <= 1 disables sharding. Incompatible with Campaign.Fork.
-	ShardIndex, ShardCount int
-
 	// Logger, when set, receives engine-level diagnostics (campaign start,
 	// quarantines, degraded worker pools) through log/slog. nil discards.
 	Logger *slog.Logger
@@ -212,42 +202,6 @@ func (r *Runner) Stop() {
 	defer r.mu.Unlock()
 	r.stopped = true
 	r.cond.Broadcast()
-}
-
-// owns reports whether this runner's shard executes experiment idx. With
-// sharding disabled every index is owned.
-func (r *Runner) owns(idx int) bool {
-	return r.ShardCount <= 1 || idx%r.ShardCount == r.ShardIndex
-}
-
-// ownedTotal is the number of experiments this shard executes — the progress
-// denominator, so a shard reports 100% when its own slice completes.
-func (r *Runner) ownedTotal() int {
-	n := r.campaign.NExperiments
-	if r.ShardCount <= 1 {
-		return n
-	}
-	t := n / r.ShardCount
-	if r.ShardIndex < n%r.ShardCount {
-		t++
-	}
-	return t
-}
-
-// validateShard rejects impossible shard configurations before any target
-// work happens.
-func (r *Runner) validateShard() error {
-	if r.ShardCount <= 1 {
-		return nil
-	}
-	if r.ShardIndex < 0 || r.ShardIndex >= r.ShardCount {
-		return fmt.Errorf("core: campaign %s: shard index %d out of range [0,%d)",
-			r.campaign.Name, r.ShardIndex, r.ShardCount)
-	}
-	if r.campaign.Fork {
-		return fmt.Errorf("core: campaign %s: sharded execution is incompatible with checkpoint forking", r.campaign.Name)
-	}
-	return nil
 }
 
 // checkpoint blocks while paused and reports whether the campaign must stop.
@@ -416,7 +370,6 @@ func (r *Runner) traceCtx(name string, idx, attempt int, tid int32) obsv.TraceCo
 	return obsv.TraceContext{
 		Rec:        r.Recorder,
 		Campaign:   r.campaign.Name,
-		Shard:      r.ShardIndex,
 		Experiment: name,
 		Index:      idx,
 		Attempt:    attempt,
@@ -478,10 +431,6 @@ func (r *Runner) Run(ctx context.Context) (Summary, error) {
 	// double-counted.
 	ssp := r.Recorder.Begin(obsv.PhaseInit, 0)
 	if err := c.Validate(r.ops); err != nil {
-		ssp.End()
-		return Summary{}, err
-	}
-	if err := r.validateShard(); err != nil {
 		ssp.End()
 		return Summary{}, err
 	}
@@ -612,9 +561,8 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 
 // drawPlans draws every injection plan on the coordinating goroutine, from
 // the single seeded PRNG in experiment order, so every experiment is
-// bit-identical whatever the width, the execution order or the shard. It
-// returns the experiments left to run — owned by this shard and not logged
-// yet — and counts the logged ones as skipped.
+// bit-identical whatever the width or the execution order. It returns the
+// experiments not logged yet and counts the logged ones as skipped.
 func (r *Runner) drawPlans(locs []faultmodel.Location, logged map[string]bool, sum *Summary) ([]poolJob, error) {
 	c := r.campaign
 	planFn := c.Model.Plan
@@ -626,16 +574,12 @@ func (r *Runner) drawPlans(locs []faultmodel.Location, logged map[string]bool, s
 	defer r.Recorder.Begin(obsv.PhasePlan, 0).End()
 	jobs := make([]poolJob, 0, c.NExperiments)
 	for i := 0; i < c.NExperiments; i++ {
-		// The plan is drawn even for experiments skipped on resume (and for
-		// indices owned by other shards), keeping the PRNG stream aligned so
-		// a resumed or sharded campaign is bit-identical to an uninterrupted
-		// single-process one.
+		// The plan is drawn even for experiments skipped on resume, keeping
+		// the PRNG stream aligned so a resumed campaign is bit-identical to
+		// an uninterrupted one.
 		plan, err := planFn(rng, locs, c.InjectMinTime, c.InjectMaxTime, c.Workload.MaxCycles)
 		if err != nil {
 			return nil, fmt.Errorf("core: experiment %d: %w", i, err)
-		}
-		if !r.owns(i) {
-			continue
 		}
 		name := r.experimentName(i)
 		if logged[name] {
@@ -699,7 +643,7 @@ func (r *Runner) reference(run Algorithm, logged bool, sum *Summary, opsPoisoned
 			return nil, err
 		}
 	}
-	r.report(r.progress(sum, sum.Skipped, r.ownedTotal(), "reference "+out.exp.Term.Reason.String()))
+	r.report(r.progress(sum, sum.Skipped, c.NExperiments, "reference "+out.exp.Term.Reason.String()))
 	return ops, nil
 }
 
@@ -1032,7 +976,7 @@ func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(targ
 		}
 	}()
 
-	t := r.newTally(&sum, stage, halt, r.ownedTotal(), workers)
+	t := r.newTally(&sum, stage, halt, c.NExperiments, workers)
 	for res := range resCh {
 		if t.admit(res) {
 			stage.put(r.outcomeRow(res.name, "", res.out))

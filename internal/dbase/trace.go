@@ -80,7 +80,7 @@ func (s *Store) NextTraceRunID(campaign string) (int64, error) {
 // PutTraceEvents persists a batch of wide events under (campaign, runID)
 // through multi-row INSERTs of at most maxInsertRows rows each. Events keep
 // the Seq the journal assigned; an event's own Campaign field is ignored in
-// favour of the argument so shard-merged journals land under one name.
+// favour of the argument so merged journals land under one name.
 func (s *Store) PutTraceEvents(campaign string, runID int64, events []obsv.WideEvent) error {
 	if len(events) == 0 {
 		return nil

@@ -87,7 +87,8 @@ type WideEvent struct {
 	Kind string `json:"kind"`
 	// Campaign names the campaign the event belongs to.
 	Campaign string `json:"campaign,omitempty"`
-	// Shard is the in-process shard the emitting runner executed.
+	// Shard numbers the emitting runner's shard. It stays in the persisted
+	// trace format; campaigns run as one runner, so engine events carry 0.
 	Shard int `json:"shard,omitempty"`
 	// Experiment is the experiment name when the emitter knows it; storage
 	// and WAL events leave it empty and are attributed at render time by

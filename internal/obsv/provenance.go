@@ -12,12 +12,12 @@ import (
 // Rendering and export of provenance wide events: causal ordering, render-
 // time attribution of storage/WAL events to the attempt they overlapped, the
 // per-experiment timeline behind `goofi trace`, and the Chrome trace_event
-// exporter that stitches multi-shard runs onto one timeline.
+// exporter.
 
 // SortEvents orders events causally: by wall-clock time, with the journal
-// append order breaking ties. Shard-merged streams (several shards sharing
-// one journal, or several runs' persisted rows) end up interleaved the way
-// they actually happened.
+// append order breaking ties. Merged streams (several workers sharing one
+// journal, or several runs' persisted rows) end up interleaved the way they
+// actually happened.
 func SortEvents(events []WideEvent) {
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].TimeNs != events[j].TimeNs {
@@ -96,9 +96,9 @@ func EventBatch(ev WideEvent) int64 {
 	return n
 }
 
-// ChromeTrace stitches wide events — possibly merged from several shards —
-// onto one Chrome trace_event timeline: one process lane per shard, one
-// thread lane per virtual thread, timestamps rebased to the earliest event.
+// ChromeTrace stitches wide events onto one Chrome trace_event timeline: one
+// process lane per Shard value, one thread lane per virtual thread,
+// timestamps rebased to the earliest event.
 // Span events render as complete ("X") slices, instant events as "i" marks.
 func ChromeTrace(events []WideEvent) TraceFile {
 	out := TraceFile{TraceEvents: []TraceEvent{}, DisplayTimeUnit: "ms"}

@@ -294,8 +294,7 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 
 // handleTrace streams the campaign's provenance wide events as NDJSON in
 // causal order. While the campaign runs (or before its store was saved), the
-// live journal answers — shard runners share one journal, so the stream is
-// already shard-merged; afterwards the persisted ExperimentTraceEvents rows
+// live journal answers; afterwards the persisted ExperimentTraceEvents rows
 // are read back from the tenant store.
 func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	id := reqID(req)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"sync"
@@ -62,8 +63,8 @@ type Options struct {
 	// ones; submissions beyond it get 429 + Retry-After. 0 means 8.
 	QueueLimit int
 	// Concurrency is how many campaigns execute at once — campaigns, not
-	// workers: each campaign may additionally shard and parallelise
-	// internally. 0 means 2.
+	// workers: each campaign may additionally run several workers. 0 means
+	// 2.
 	Concurrency int
 	// WALOptions is the group-commit durability policy of every tenant
 	// store. The zero value syncs every batch (SyncEvery <= 1).
@@ -93,7 +94,6 @@ type job struct {
 
 	events *obsv.Broadcaster
 	rec    *obsv.Recorder
-	seq    int64 // event sequence for service-published (sharded) frames
 }
 
 // Server is the multi-tenant campaign daemon. Create with New, expose over
@@ -503,8 +503,9 @@ func ensureTarget(store *dbase.Store, ops target.Operations) error {
 }
 
 // runCampaign executes one campaign against its tenant store: open, register,
-// run (sharded or not), classify, save, close. The store is only ever touched
-// from this goroutine — the SQL engine is not verified thread-safe.
+// run on a scratch store, merge, classify, save, close. The tenant store is
+// only ever touched from this goroutine — the SQL engine is not verified
+// thread-safe.
 func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) {
 	store, err := s.openTenantStore(j.spec)
 	if err != nil {
@@ -521,18 +522,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 	}
 	store.SetRecorder(j.rec)
 
-	var sum core.Summary
-	if j.spec.Shards > 1 {
-		sum, err = s.runSharded(ctx, j, store)
-	} else {
-		r := core.NewRunner(ops, store, j.c)
-		r.Factory = factory
-		r.Recorder = j.rec
-		r.Events = j.events
-		r.MonitorInterval = s.opts.MonitorInterval
-		r.Logger = s.log
-		sum, err = r.Run(ctx)
-	}
+	sum, err := s.runScratch(ctx, j, store, ops, factory)
 
 	// Classify a completed campaign while its store is open; the report is
 	// served from the job and its AnalysisResult rows are saved with the
@@ -544,9 +534,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 		s.mu.Unlock()
 	}
 
-	// Drain the provenance journal into the tenant store before saving. One
-	// drain covers sharded runs too: every shard runner records into j.rec,
-	// so the journal already holds the shard-merged event stream.
+	// Drain the provenance journal into the tenant store before saving.
 	if _, derr := store.PutTraceJournal(j.spec.Campaign, j.rec.Journal()); derr != nil && err == nil {
 		err = derr
 	}
@@ -560,6 +548,134 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 		err = cerr
 	}
 	return sum, err
+}
+
+// runScratch runs the campaign on a private memory store seeded from the
+// tenant store, then merges what the run added into the tenant store in one
+// batch — also when the run stopped or failed, since an interrupted
+// campaign's rows are what resume needs. Logging to memory spares every
+// logged batch a WAL fsync; the rows reach the tenant WAL when the campaign
+// completes, fails or is drained.
+func (s *Server) runScratch(ctx context.Context, j *job, tenant *dbase.Store,
+	ops target.Operations, factory target.Factory) (core.Summary, error) {
+	scratch, seeded, err := seedScratch(tenant, j.c.Name, ops.Name())
+	if err != nil {
+		return core.Summary{}, fmt.Errorf("service: %s: seed scratch store: %w", j.spec.ID(), err)
+	}
+	defer scratch.Close()
+
+	r := core.NewRunner(ops, scratch, j.c)
+	r.Factory = factory
+	r.Recorder = j.rec
+	r.Events = j.events
+	r.MonitorInterval = s.opts.MonitorInterval
+	r.Logger = s.log
+	sum, err := r.Run(ctx)
+
+	// A failed merge loses rows, so it outranks a stop; a real run failure
+	// outranks it.
+	if merr := seeded.merge(tenant, scratch); merr != nil && (err == nil || errors.Is(err, core.ErrStopped)) {
+		err = fmt.Errorf("service: %s: merge: %w", j.spec.ID(), merr)
+	}
+	return sum, err
+}
+
+// seedState is what a scratch store was seeded with, so the merge can tell
+// the rows a run added from the ones it started with.
+type seedState struct {
+	campaign    string
+	hasCampaign bool            // the tenant store holds the campaign row
+	rows        map[string]bool // experiment names already in the tenant store
+	lastRun     int64           // highest CampaignRunMetrics runId already stored
+}
+
+// seedScratch builds the campaign's scratch memory store from the tenant
+// store: the target row (the foreign-key parent of CampaignData), the
+// campaign row when present, the rows already logged (so the runner skips
+// them) and the campaign's run-metrics rows (so NextRunID continues the
+// tenant's run numbering). The fault-location catalogue is not copied; the
+// runner never reads it.
+func seedScratch(tenant *dbase.Store, campaign, targetName string) (*dbase.Store, seedState, error) {
+	seeded := seedState{campaign: campaign}
+	ts, err := tenant.GetTargetSystem(targetName)
+	if err != nil {
+		return nil, seeded, err
+	}
+	camp, err := tenant.GetCampaign(campaign)
+	seeded.hasCampaign = err == nil
+	if err != nil && !errors.Is(err, dbase.ErrNotFound) {
+		return nil, seeded, err
+	}
+	rows, err := tenant.Experiments(campaign)
+	if err != nil {
+		return nil, seeded, err
+	}
+	runs, err := tenant.RunMetrics(campaign)
+	if err != nil {
+		return nil, seeded, err
+	}
+	seeded.rows = make(map[string]bool, len(rows))
+	for _, row := range rows {
+		seeded.rows[row.ExperimentName] = true
+	}
+	for _, m := range runs {
+		seeded.lastRun = max(seeded.lastRun, m.RunID)
+	}
+
+	scratch, err := dbase.NewMemoryStore()
+	if err != nil {
+		return nil, seeded, err
+	}
+	err = scratch.PutTargetSystem(ts)
+	if err == nil && seeded.hasCampaign {
+		err = scratch.PutCampaign(camp)
+	}
+	if err == nil {
+		err = scratch.PutExperiments(rows)
+	}
+	if err == nil {
+		err = scratch.PutRunMetrics(runs)
+	}
+	if err != nil {
+		scratch.Close()
+		return nil, seeded, err
+	}
+	return scratch, seeded, nil
+}
+
+// merge copies what the run added to the scratch store into the tenant
+// store: the campaign row when the tenant lacks it, then the new experiment
+// rows in one PutExperiments and the new run-metrics rows in one
+// PutRunMetrics. New rows are found by name and run id, never by position:
+// the scratch store lists rows in name order, and resumed rows interleave
+// with new ones.
+func (seeded seedState) merge(tenant, scratch *dbase.Store) error {
+	rows, err := scratch.Experiments(seeded.campaign)
+	if err != nil {
+		return err
+	}
+	fresh := slices.DeleteFunc(rows, func(r dbase.ExperimentRow) bool { return seeded.rows[r.ExperimentName] })
+	runs, err := scratch.RunMetrics(seeded.campaign)
+	if err != nil {
+		return err
+	}
+	newRuns := slices.DeleteFunc(runs, func(m dbase.RunMetricsRow) bool { return m.RunID <= seeded.lastRun })
+	if len(fresh) == 0 && len(newRuns) == 0 {
+		return nil
+	}
+	if !seeded.hasCampaign {
+		camp, err := scratch.GetCampaign(seeded.campaign)
+		if err != nil {
+			return err
+		}
+		if err := tenant.PutCampaign(camp); err != nil {
+			return err
+		}
+	}
+	if err := tenant.PutExperiments(fresh); err != nil {
+		return err
+	}
+	return tenant.PutRunMetrics(newRuns)
 }
 
 // Drain shuts the service down gracefully: new submissions are rejected,

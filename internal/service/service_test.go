@@ -400,81 +400,191 @@ func isErr(err, want error) bool { return err != nil && strings.Contains(err.Err
 // TestDrainPersistsAndResumes is the graceful-shutdown contract: SIGTERM
 // (modelled by Drain) interrupts the running campaign after a checkpoint,
 // persists the queue, and a fresh server over the same data dir finishes
-// both campaigns with rows identical to never having been interrupted.
+// both campaigns with rows identical to never having been interrupted —
+// whatever the width the campaign runs at.
 func TestDrainPersistsAndResumes(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(Options{DataDir: dir, Concurrency: 1, MonitorInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Options{DataDir: dir, Concurrency: 1, MonitorInterval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			running := testSpec("acme", "interrupted", 8000, 11)
+			running.Shards = shards
+			queued := testSpec("acme", "patient", 5, 12)
+			queued.Shards = shards
+			if _, err := s.Submit(running); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Submit(queued); err != nil {
+				t.Fatal(err)
+			}
+			// Let the running campaign log some rows first, so the restart
+			// below genuinely resumes rather than starting over.
+			waitDone(t, s, running.ID(), 3)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Drain(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if st, _ := s.Status(running.ID()); st.Status != StatusInterrupted {
+				t.Fatalf("running campaign after drain: %s", st.Status)
+			}
+			if st, _ := s.Status(queued.ID()); st.Status != StatusQueued {
+				t.Fatalf("queued campaign after drain: %s", st.Status)
+			}
+			if _, err := os.Stat(filepath.Join(dir, queueFile)); err != nil {
+				t.Fatalf("queue file not persisted: %v", err)
+			}
+			// Interrupted rows are already durable on disk.
+			if n := len(tenantRows(t, dir, running)); n == 0 {
+				t.Fatal("no rows persisted before drain")
+			}
+
+			// Submissions during/after drain are refused.
+			if _, err := s.Submit(testSpec("acme", "late", 3, 13)); !isErr(err, ErrDraining) {
+				t.Fatalf("late submit err = %v, want ErrDraining", err)
+			}
+
+			// Restart: both campaigns resume from the queue file and finish.
+			s2 := newTestServer(t, Options{DataDir: dir, Concurrency: 1})
+			if st := waitStatus(t, s2, running.ID()); st.Status != StatusDone {
+				t.Fatalf("resumed campaign: %s (%s)", st.Status, st.Error)
+			}
+			if st := waitStatus(t, s2, queued.ID()); st.Status != StatusDone {
+				t.Fatalf("queued campaign after restart: %s (%s)", st.Status, st.Error)
+			}
+			// A drain with nothing left to resume clears the stale queue file.
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel2()
+			if err := s2.Drain(ctx2); err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, queueFile)); !os.IsNotExist(err) {
+				t.Fatalf("queue file should be gone after clean drain, stat err = %v", err)
+			}
+
+			requireSameRows(t, referenceRows(t, running), tenantRows(t, dir, running), "resumed campaign")
+			requireSameRows(t, referenceRows(t, queued), tenantRows(t, dir, queued), "queued campaign")
+		})
 	}
-	running := testSpec("acme", "interrupted", 8000, 11)
-	queued := testSpec("acme", "patient", 5, 12)
-	if _, err := s.Submit(running); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(queued); err != nil {
-		t.Fatal(err)
-	}
-	// Let the running campaign log some rows first, so the restart below
-	// genuinely resumes rather than starting over.
+}
+
+// waitDone polls until the campaign's live progress passes n experiments.
+func waitDone(t *testing.T, s *Server, id string, n int) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st, err := s.Status(running.ID())
+		st, err := s.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Done > 3 {
-			break
+		if st.Done > n {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("campaign made no progress")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st, _ := s.Status(running.ID()); st.Status != StatusInterrupted {
-		t.Fatalf("running campaign after drain: %s", st.Status)
-	}
-	if st, _ := s.Status(queued.ID()); st.Status != StatusQueued {
-		t.Fatalf("queued campaign after drain: %s", st.Status)
-	}
-	if _, err := os.Stat(filepath.Join(dir, queueFile)); err != nil {
-		t.Fatalf("queue file not persisted: %v", err)
-	}
-	// Interrupted rows are already durable on disk.
-	if n := len(tenantRows(t, dir, running)); n == 0 {
-		t.Fatal("no rows persisted before drain")
-	}
+}
 
-	// Submissions during/after drain are refused.
-	if _, err := s.Submit(testSpec("acme", "late", 3, 13)); !isErr(err, ErrDraining) {
-		t.Fatalf("late submit err = %v, want ErrDraining", err)
+// finalRunMetrics reopens the tenant's persisted database and returns the
+// campaign's closing CampaignRunMetrics row of every run.
+func finalRunMetrics(t *testing.T, dataDir string, spec Spec) []dbase.RunMetricsRow {
+	t.Helper()
+	store, err := dbase.OpenStoreFS(filepath.Join(dataDir, spec.Tenant, spec.Campaign+".db"), vfs.OS{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer store.Close()
+	rows, err := store.FinalRunMetrics(spec.Campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
-	// Restart: both campaigns resume from the queue file and finish.
-	s2 := newTestServer(t, Options{DataDir: dir, Concurrency: 1})
-	if st := waitStatus(t, s2, running.ID()); st.Status != StatusDone {
-		t.Fatalf("resumed campaign: %s (%s)", st.Status, st.Error)
-	}
-	if st := waitStatus(t, s2, queued.ID()); st.Status != StatusDone {
-		t.Fatalf("queued campaign after restart: %s (%s)", st.Status, st.Error)
-	}
-	// A drain with nothing left to resume clears the stale queue file.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := s2.Drain(ctx2); err != nil {
-		t.Fatalf("second drain: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, queueFile)); !os.IsNotExist(err) {
-		t.Fatalf("queue file should be gone after clean drain, stat err = %v", err)
-	}
+// TestRunMetricsReachTenantStore: every run of a service campaign leaves its
+// final CampaignRunMetrics row in the tenant store, which `goofi report`
+// reads, and a run resumed after a drain records under a new runId.
+func TestRunMetricsReachTenantStore(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Options{DataDir: dir, MonitorInterval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := testSpec("acme", "metered", 3000, 21)
+			spec.Shards = shards
+			if _, err := s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, s, spec.ID(), 3)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Drain(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if st, _ := s.Status(spec.ID()); st.Status != StatusInterrupted {
+				t.Fatalf("campaign after drain: %s", st.Status)
+			}
+			first := finalRunMetrics(t, dir, spec)
+			if len(first) != 1 {
+				t.Fatalf("after the interrupted run: %d final run-metrics rows, want 1", len(first))
+			}
 
-	requireSameRows(t, referenceRows(t, running), tenantRows(t, dir, running), "resumed campaign")
-	requireSameRows(t, referenceRows(t, queued), tenantRows(t, dir, queued), "queued campaign")
+			s2 := newTestServer(t, Options{DataDir: dir})
+			if st := waitStatus(t, s2, spec.ID()); st.Status != StatusDone {
+				t.Fatalf("resumed campaign: %s (%s)", st.Status, st.Error)
+			}
+			runs := finalRunMetrics(t, dir, spec)
+			if len(runs) != 2 || runs[0].RunID == runs[1].RunID {
+				t.Fatalf("after resume: final rows %+v, want two runs with distinct runIds", runs)
+			}
+			if runs[0] != first[0] {
+				t.Fatalf("resume rewrote the first run's row:\nwas %+v\nnow %+v", first[0], runs[0])
+			}
+			if last := runs[1]; last.Done != spec.Experiments || last.Skipped != first[0].Done {
+				t.Fatalf("resumed run's final row: done %d skipped %d, want %d and %d",
+					last.Done, last.Skipped, spec.Experiments, first[0].Done)
+			}
+		})
+	}
+}
+
+// TestOneReferenceRunPerCampaign: a campaign runs the fault-free reference
+// once whatever its width — Shards multiplies workers, it does not repeat
+// the reference.
+func TestOneReferenceRunPerCampaign(t *testing.T) {
+	s := newTestServer(t, Options{DataDir: t.TempDir()})
+	spec := testSpec("acme", "oneref", 13, 7)
+	spec.Shards = 3
+	if _, err := s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, s, spec.ID()); st.Status != StatusDone {
+		t.Fatalf("status = %s (%s)", st.Status, st.Error)
+	}
+	s.mu.Lock()
+	events := s.jobs[spec.ID()].rec.Journal().Events()
+	s.mu.Unlock()
+	refs, attempts := 0, 0
+	for _, ev := range events {
+		if ev.Kind != obsv.EvAttempt {
+			continue
+		}
+		attempts++
+		if ev.Experiment == spec.Campaign+core.RefSuffix {
+			refs++
+		}
+	}
+	if refs != 1 || attempts != spec.Experiments+1 {
+		t.Fatalf("journal holds %d reference attempts and %d attempts in all, want 1 and %d",
+			refs, attempts, spec.Experiments+1)
+	}
 }
 
 // TestServiceStorageChaos runs the whole service over a fault-injecting

@@ -8,10 +8,10 @@
 // The genericity argument of the paper (§3) — one engine, many targets —
 // extends here to many clients: campaigns from independent tenants share the
 // process but nothing else. Each tenant owns a database directory; each
-// campaign owns a database file, recorder and event broadcaster; and a large
-// campaign can be split across in-process shards whose reassembled rows are
-// bit-identical to a single-process run (the pre-drawn-plan determinism the
-// parallel engine already guarantees).
+// campaign owns a database file, recorder and event broadcaster. Whatever
+// its width, a campaign is one runner whose rows are bit-identical to a
+// single-process run (the pre-drawn-plan determinism the parallel engine
+// already guarantees).
 package service
 
 import (
@@ -47,10 +47,11 @@ type Spec struct {
 	TMax        uint64 `json:"tmax,omitempty"` // default 1000
 	Notes       string `json:"notes,omitempty"`
 
-	// Workers is the in-shard worker count (goofi run -workers).
+	// Workers is the campaign's worker count (goofi run -workers).
 	Workers int `json:"workers,omitempty"`
-	// Shards splits the campaign across that many in-process shard runners;
-	// the reassembled rows are bit-identical to an unsharded run.
+	// Shards multiplies the width: the campaign runs on
+	// max(Workers,1) × max(Shards,1) workers of one runner. Kept for clients
+	// that set it; rows are bit-identical whatever the width.
 	Shards int `json:"shards,omitempty"`
 	// Retries and Timeout arm the fault-tolerance layer per experiment.
 	Retries int    `json:"retries,omitempty"`
@@ -139,7 +140,7 @@ func (s Spec) campaign() (core.Campaign, error) {
 		InjectMinTime:  tmin,
 		InjectMaxTime:  tmax,
 		Notes:          s.Notes,
-		Workers:        s.Workers,
+		Workers:        max(s.Workers, 1) * max(s.Shards, 1),
 		RetryLimit:     s.Retries,
 	}
 	if s.Timeout != "" {
