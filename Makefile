@@ -1,9 +1,9 @@
 # CI entry points for the GOOFI reproduction. `make ci` is what every PR
-# must keep green: vet, build, the full test suite, the benchmark module's
-# own tests, the race-checked core, scan and obsv packages (the concurrent
-# campaign runner, the packed scan datapath and the metrics broadcaster), and
-# a short benchmark smoke run that also emits its machine-readable JSON
-# summary.
+# must keep green: vet, build, the full test suite, a run of every example,
+# the benchmark module's own tests, the race-checked core, scan and obsv
+# packages (the concurrent campaign runner, the packed scan datapath and the
+# metrics broadcaster), and a short benchmark smoke run that also emits its
+# machine-readable JSON summary.
 
 GO ?= go
 
@@ -15,7 +15,7 @@ BENCHCOUNT ?= 6
 OLD ?= BENCH_old.json
 NEW ?= BENCH_campaign.json
 
-.PHONY: all build vet fmt test race perfbench bench benchdiff benchsmoke cover fuzzsmoke crashsmoke storagesmoke servesmoke ci
+.PHONY: all build vet fmt test examples race perfbench bench benchdiff benchsmoke cover fuzzsmoke crashsmoke storagesmoke servesmoke ci
 
 all: ci
 
@@ -32,6 +32,11 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# Run every program under examples/ end to end, so the library surface they
+# show keeps working, not only compiling; any non-zero exit fails the target.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # The worker-pool campaign engine (and the checkpoint-forking paths) live
 # in internal/core, the packed bitset + TAP fast path in internal/scan,
@@ -145,5 +150,5 @@ servesmoke:
 # (75%): the smoke run is short and lands on whatever machine CI uses,
 # so only order-of-magnitude regressions — a forked campaign falling
 # back to the plain path, a capture turning quadratic — should trip it.
-ci: fmt vet build test race perfbench benchsmoke fuzzsmoke crashsmoke storagesmoke servesmoke
+ci: fmt vet build test examples race perfbench benchsmoke fuzzsmoke crashsmoke storagesmoke servesmoke
 	$(GO) run ./cmd/goofi-bench -diff BENCH_campaign.json -tolerance 75 -metrics ns BENCH_smoke.json

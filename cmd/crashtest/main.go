@@ -50,12 +50,14 @@ import (
 	"sync"
 	"time"
 
-	"goofi"
+	"goofi/internal/analysis"
 	"goofi/internal/core"
 	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
 	"goofi/internal/sqldb"
+	"goofi/internal/target"
 	"goofi/internal/vfs"
+	"goofi/internal/workload"
 )
 
 // childEnv carries the child's JSON config; its presence switches the binary
@@ -155,19 +157,19 @@ type iterResult struct {
 
 // campaignFor builds the iteration's campaign definition — the canonical
 // chaos-campaign shape of the repo's golden tests, seeded per iteration.
-func campaignFor(name string, seed int64, n int) (goofi.Campaign, error) {
-	w, err := goofi.GetWorkload("bubblesort")
+func campaignFor(name string, seed int64, n int) (core.Campaign, error) {
+	w, err := workload.Get("bubblesort")
 	if err != nil {
-		return goofi.Campaign{}, err
+		return core.Campaign{}, err
 	}
 	m, err := faultmodel.ParseModel("transient")
 	if err != nil {
-		return goofi.Campaign{}, err
+		return core.Campaign{}, err
 	}
-	return goofi.Campaign{
+	return core.Campaign{
 		Name:           name,
 		Workload:       w,
-		Technique:      goofi.TechSCIFI,
+		Technique:      core.TechSCIFI,
 		Model:          m,
 		LocationFilter: "chain:internal.core",
 		NExperiments:   n,
@@ -181,19 +183,19 @@ func campaignFor(name string, seed int64, n int) (goofi.Campaign, error) {
 // the retry budget the chaos needs. Hang chaos is deliberately absent from
 // the default spec: watchdog timeouts depend on wall-clock and would break
 // the bit-identical reference comparison.
-func chaosOps(spec string, c *goofi.Campaign) (goofi.TargetOperations, error) {
-	var ops goofi.TargetOperations = goofi.NewThorTarget()
+func chaosOps(spec string, c *core.Campaign) (target.Operations, error) {
+	var ops target.Operations = target.NewDefaultThorTarget()
 	if spec == "" {
 		return ops, nil
 	}
-	cfg, err := goofi.ParseFlakyConfig(spec)
+	cfg, err := target.ParseFlakyConfig(spec)
 	if err != nil {
 		return nil, err
 	}
 	if c.RetryLimit == 0 {
 		c.RetryLimit = 3
 	}
-	return goofi.NewFlakyTarget(ops, cfg), nil
+	return target.NewFlaky(ops, cfg), nil
 }
 
 // horizonSlack stretches a measured uncrashed run into a crash horizon: a
@@ -331,13 +333,13 @@ func runIteration(exe string, opt options, iter int, horizon time.Duration) (ite
 }
 
 // stageStore creates the campaign database the child will run against.
-func stageStore(dbPath string, c goofi.Campaign) error {
+func stageStore(dbPath string, c core.Campaign) error {
 	store, err := dbase.OpenStore(dbPath)
 	if err != nil {
 		return err
 	}
-	ops := goofi.NewThorTarget()
-	if err := goofi.RegisterTarget(store, ops, "crashtest target"); err != nil {
+	ops := target.NewDefaultThorTarget()
+	if err := core.RegisterTarget(store, ops, "crashtest target"); err != nil {
 		return err
 	}
 	if err := c.Validate(ops); err != nil {
@@ -406,72 +408,72 @@ func recoveredNamesFS(fsys vfs.FS, dbPath, campaign string) (map[string]bool, er
 // to completion, returning the final experiment rows, the analysis report
 // and how many experiments the resumed run executed (vs skipped as already
 // logged).
-func resumeCampaign(dbPath string, c goofi.Campaign, opt options) ([]dbase.ExperimentRow, goofi.Report, int, error) {
+func resumeCampaign(dbPath string, c core.Campaign, opt options) ([]dbase.ExperimentRow, analysis.Report, int, error) {
 	return resumeCampaignFS(vfs.OS{}, dbPath, c, opt)
 }
 
-func resumeCampaignFS(fsys vfs.FS, dbPath string, c goofi.Campaign, opt options) ([]dbase.ExperimentRow, goofi.Report, int, error) {
+func resumeCampaignFS(fsys vfs.FS, dbPath string, c core.Campaign, opt options) ([]dbase.ExperimentRow, analysis.Report, int, error) {
 	store, err := dbase.OpenStoreWALFS(dbPath, fsys, sqldb.WALOptions{SyncEvery: 1, CheckpointBytes: opt.CheckpointBytes})
 	if err != nil {
-		return nil, goofi.Report{}, 0, fmt.Errorf("reopen for resume: %w", err)
+		return nil, analysis.Report{}, 0, fmt.Errorf("reopen for resume: %w", err)
 	}
 	defer store.Close()
 	ops, err := chaosOps(opt.Chaos, &c)
 	if err != nil {
-		return nil, goofi.Report{}, 0, err
+		return nil, analysis.Report{}, 0, err
 	}
 	r := core.NewRunner(ops, store, c)
 	sum, err := r.Run(context.Background())
 	if err != nil {
-		return nil, goofi.Report{}, 0, fmt.Errorf("resume run: %w", err)
+		return nil, analysis.Report{}, 0, fmt.Errorf("resume run: %w", err)
 	}
 	if sum.Completed+sum.Skipped != c.NExperiments {
-		return nil, goofi.Report{}, 0, fmt.Errorf("resume accounting: completed %d + skipped %d != %d",
+		return nil, analysis.Report{}, 0, fmt.Errorf("resume accounting: completed %d + skipped %d != %d",
 			sum.Completed, sum.Skipped, c.NExperiments)
 	}
-	report, err := goofi.Analyze(store, c.Name)
+	report, err := analysis.Classify(store, c.Name)
 	if err != nil {
-		return nil, goofi.Report{}, 0, err
+		return nil, analysis.Report{}, 0, err
 	}
 	rows, err := store.Experiments(c.Name)
 	if err != nil {
-		return nil, goofi.Report{}, 0, err
+		return nil, analysis.Report{}, 0, err
 	}
 	if err := store.Save(); err != nil {
-		return nil, goofi.Report{}, 0, err
+		return nil, analysis.Report{}, 0, err
 	}
 	return rows, report, sum.Completed, nil
 }
 
 // referenceRun executes the same campaign start-to-finish in memory — the
 // no-crash truth the recovered store must match bit for bit.
-func referenceRun(c goofi.Campaign, opt options) ([]dbase.ExperimentRow, goofi.Report, error) {
+func referenceRun(c core.Campaign, opt options) ([]dbase.ExperimentRow, analysis.Report, error) {
 	store, err := dbase.NewMemoryStore()
 	if err != nil {
-		return nil, goofi.Report{}, err
+		return nil, analysis.Report{}, err
 	}
-	ops := goofi.NewThorTarget()
-	if err := goofi.RegisterTarget(store, ops, "crashtest target"); err != nil {
-		return nil, goofi.Report{}, err
+	ops := target.NewDefaultThorTarget()
+	if err := core.RegisterTarget(store, ops, "crashtest target"); err != nil {
+		return nil, analysis.Report{}, err
 	}
 	if err := store.PutCampaign(c.Row(ops.Name())); err != nil {
-		return nil, goofi.Report{}, err
+		return nil, analysis.Report{}, err
 	}
 	cops, err := chaosOps(opt.Chaos, &c)
 	if err != nil {
-		return nil, goofi.Report{}, err
+		return nil, analysis.Report{}, err
 	}
 	r := core.NewRunner(cops, store, c)
 	if _, err := r.Run(context.Background()); err != nil {
-		return nil, goofi.Report{}, fmt.Errorf("reference run: %w", err)
+		return nil, analysis.Report{}, fmt.Errorf("reference run: %w", err)
 	}
-	report, err := goofi.Analyze(store, c.Name)
+	report, err := analysis.Classify(store, c.Name)
 	if err != nil {
-		return nil, goofi.Report{}, err
+		return nil, analysis.Report{}, err
 	}
 	rows, err := store.Experiments(c.Name)
 	if err != nil {
-		return nil, goofi.Report{}, err
+		return nil, analysis.Report{}, err
 	}
 	return rows, report, nil
 }
@@ -676,7 +678,7 @@ func runSimIteration(opt options, iter int, horizon int64) (iterResult, error) {
 // storage. The target's fault plan is deterministic and independent of
 // storage retries, so that is only acceptable when the fault-free in-memory
 // reference run dies the same death.
-func sameChaosDeath(c goofi.Campaign, opt options, runErr error) error {
+func sameChaosDeath(c core.Campaign, opt options, runErr error) error {
 	if vfs.IsInjected(runErr) {
 		return fmt.Errorf("campaign died of an injected storage fault (transient retries should have absorbed it): %w", runErr)
 	}
@@ -689,15 +691,15 @@ func sameChaosDeath(c goofi.Campaign, opt options, runErr error) error {
 // restage re-registers the target inventory and campaign definition if a
 // lying fsync destroyed them, touching only what is actually missing (a
 // surviving target row cannot be replaced while campaign rows reference it).
-func restage(fsys vfs.FS, dbPath string, c goofi.Campaign) error {
+func restage(fsys vfs.FS, dbPath string, c core.Campaign) error {
 	store, err := dbase.OpenStoreFS(dbPath, fsys)
 	if err != nil {
 		return fmt.Errorf("restage after lied sync: %w", err)
 	}
-	ops := goofi.NewThorTarget()
+	ops := target.NewDefaultThorTarget()
 	changed := false
 	if _, err := store.GetTargetSystem(ops.Name()); err != nil {
-		if err := goofi.RegisterTarget(store, ops, "crashtest target"); err != nil {
+		if err := core.RegisterTarget(store, ops, "crashtest target"); err != nil {
 			return fmt.Errorf("restage after lied sync: %w", err)
 		}
 		changed = true
@@ -720,7 +722,7 @@ func restage(fsys vfs.FS, dbPath string, c goofi.Campaign) error {
 // simRun runs the campaign over the faulty filesystem until it completes or
 // the armed crash point kills it, returning the experiment names the store
 // acknowledged before death.
-func simRun(fsys vfs.FS, dbPath string, c goofi.Campaign, opt options) (acked []string, runErr error) {
+func simRun(fsys vfs.FS, dbPath string, c core.Campaign, opt options) (acked []string, runErr error) {
 	store, err := dbase.OpenStoreWALFS(dbPath, fsys, sqldb.WALOptions{SyncEvery: 1, CheckpointBytes: opt.CheckpointBytes})
 	if err != nil {
 		return nil, err
@@ -818,7 +820,7 @@ func runChild(cfgJSON string) int {
 		fmt.Fprintln(os.Stderr, "crashtest child:", err)
 		return 1
 	}
-	c, err := goofi.CampaignFromRow(row)
+	c, err := core.CampaignFromRow(row)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crashtest child:", err)
 		return 1

@@ -38,8 +38,9 @@ import (
 	"syscall"
 	"time"
 
-	"goofi"
 	"goofi/internal/dbase"
+	"goofi/internal/obsv"
+	"goofi/internal/service"
 	"goofi/internal/vfs"
 )
 
@@ -63,7 +64,7 @@ func runServeChild(cfgJSON string) int {
 		fmt.Fprintln(os.Stderr, "serve child: bad config:", err)
 		return 1
 	}
-	svc, err := goofi.NewCampaignService(goofi.ServiceOptions{
+	svc, err := service.New(service.Options{
 		DataDir:         cfg.DataDir,
 		QueueLimit:      cfg.Queue,
 		Concurrency:     cfg.Concurrency,
@@ -167,7 +168,7 @@ func (p *serveProc) sigterm() error {
 }
 
 // submitSpec POSTs one campaign spec and demands a 202.
-func submitSpec(base string, spec goofi.CampaignSpec) error {
+func submitSpec(base string, spec service.Spec) error {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return err
@@ -221,7 +222,7 @@ func queuedIDs(dataDir string) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []goofi.CampaignSpec
+	var specs []service.Spec
 	if err := json.Unmarshal(data, &specs); err != nil {
 		return nil, fmt.Errorf("queue.json corrupt: %w", err)
 	}
@@ -276,14 +277,14 @@ func checkPrefix(got, want []dbase.ExperimentRow, id string) error {
 
 // serveCampaign is one submitted campaign plus its reference truth.
 type serveCampaign struct {
-	spec goofi.CampaignSpec
+	spec service.Spec
 	id   string
 	want []dbase.ExperimentRow
 }
 
 // serveSpec is the submission of one harness campaign.
-func serveSpec(tenant, name string, seed int64, shards int, opt options) goofi.CampaignSpec {
-	return goofi.CampaignSpec{
+func serveSpec(tenant, name string, seed int64, shards int, opt options) service.Spec {
+	return service.Spec{
 		Tenant:      tenant,
 		Campaign:    name,
 		Workload:    "bubblesort",
@@ -363,10 +364,13 @@ func serveShards(iter int) [2]int {
 }
 
 // serveHorizon times one undisturbed serve cycle of an iteration's two
-// campaigns — from the submissions until both are done — and stretches it by
+// campaigns — from the submissions until the last campaign's final event
+// frame, which the runner publishes as its Run returns — and stretches it by
 // horizonSlack. SIGTERM delays drawn below it then land anywhere from before
-// A's first row to after both campaigns finished, however fast the service
-// runs them.
+// A's first row to the end of B's run, however fast the service runs them.
+// The classification, journal drain and store close that follow a run are
+// left out: a drain cannot interrupt them, so a SIGTERM drawn there would
+// exercise nothing a finished campaign does not.
 func serveHorizon(exe string, opt options, shards [2]int) (time.Duration, error) {
 	dir, err := os.MkdirTemp("", "goofi-servetest-*")
 	if err != nil {
@@ -377,7 +381,7 @@ func serveHorizon(exe string, opt options, shards [2]int) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
-	specs := []goofi.CampaignSpec{
+	specs := []service.Spec{
 		serveSpec("acme", "horizon-a", opt.Seed, shards[0], opt),
 		serveSpec("beta", "horizon-b", opt.Seed+1000, shards[1], opt),
 	}
@@ -391,13 +395,47 @@ func serveHorizon(exe string, opt options, shards [2]int) (time.Duration, error)
 		if err != nil {
 			break
 		}
-		err = pollDone(p.base, spec.Tenant+"/"+spec.Campaign, 2*time.Minute)
+		err = awaitFinalFrame(p.base, spec.Tenant+"/"+spec.Campaign, 2*time.Minute)
 	}
 	elapsed := time.Since(start)
+	for _, spec := range specs {
+		if err != nil {
+			break
+		}
+		err = pollDone(p.base, spec.Tenant+"/"+spec.Campaign, 2*time.Minute)
+	}
 	if serr := p.sigterm(); err == nil {
 		err = serr
 	}
 	return time.Duration(horizonSlack(int64(elapsed))), err
+}
+
+// awaitFinalFrame reads one campaign's NDJSON event stream up to its final
+// frame. A campaign that already finished replays that frame at once.
+func awaitFinalFrame(base, id string, timeout time.Duration) error {
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Get(base + "/campaigns/" + id + "/events")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("events %s: %s", id, resp.Status)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev obsv.CampaignEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return fmt.Errorf("events %s: %w", id, err)
+		}
+		if ev.Final {
+			return nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("events %s: %w", id, err)
+	}
+	return fmt.Errorf("events %s ended before the final frame", id)
 }
 
 func serveIteration(exe string, opt options, iter int, shards [2]int, horizon time.Duration) (iterResult, error) {
@@ -422,8 +460,8 @@ func serveIteration(exe string, opt options, iter int, shards [2]int, horizon ti
 
 	// Phase 1: daemon up, two tenants submit; B queues behind A at
 	// Concurrency=1. SIGTERM after a seeded delay below the measured
-	// horizon, so it lands anywhere from before A's first row to after both
-	// campaigns finished.
+	// horizon, so it lands anywhere from before A's first row to the end of
+	// B's run.
 	p1, err := startServe(exe, dir)
 	if err != nil {
 		return res, err

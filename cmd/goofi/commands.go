@@ -12,23 +12,30 @@ import (
 	"syscall"
 	"time"
 
-	"goofi"
+	"goofi/internal/analysis"
+	"goofi/internal/core"
+	"goofi/internal/dbase"
 	"goofi/internal/faultmodel"
+	"goofi/internal/obsv"
+	"goofi/internal/sqldb"
+	"goofi/internal/target"
+	"goofi/internal/vfs"
+	"goofi/internal/workload"
 )
 
 // openDB opens the campaign database named by -db.
-func openDB(path string) (*goofi.Database, error) {
+func openDB(path string) (*dbase.Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-db is required")
 	}
-	return goofi.OpenDatabase(path)
+	return dbase.OpenStore(path)
 }
 
 // parseWALSync parses the -wal-sync spec: comma-separated "every=N" (fsync
 // after every Nth group-commit batch; 1 = strict, fsync before every ack)
 // and "interval=D" (upper bound on how long a deferred fsync may lag).
-func parseWALSync(spec string) (goofi.WALOptions, error) {
-	opts := goofi.WALOptions{SyncEvery: 1}
+func parseWALSync(spec string) (sqldb.WALOptions, error) {
+	opts := sqldb.WALOptions{SyncEvery: 1}
 	if spec == "" {
 		return opts, nil
 	}
@@ -68,8 +75,8 @@ func cmdConfigure(args []string) error {
 	if err != nil {
 		return err
 	}
-	ops := goofi.NewThorTarget()
-	if err := goofi.RegisterTarget(db, ops, *desc); err != nil {
+	ops := target.NewDefaultThorTarget()
+	if err := core.RegisterTarget(db, ops, *desc); err != nil {
 		return err
 	}
 	locs, err := db.FaultLocations(ops.Name())
@@ -91,7 +98,7 @@ func cmdSetup(args []string) error {
 	dbPath := fs.String("db", "", "campaign database file")
 	name := fs.String("campaign", "", "campaign name")
 	wl := fs.String("workload", "", "workload name")
-	tech := fs.String("technique", goofi.TechSCIFI, "fault-injection technique")
+	tech := fs.String("technique", core.TechSCIFI, "fault-injection technique")
 	model := fs.String("model", "transient", "fault model")
 	locations := fs.String("locations", "", "fault-location filter")
 	n := fs.Int("n", 100, "number of experiments")
@@ -121,7 +128,7 @@ func cmdSetup(args []string) error {
 			row.CampaignName, row.NExperiments, row.LocationFilter)
 		return db.Save()
 	}
-	w, err := goofi.GetWorkload(*wl)
+	w, err := workload.Get(*wl)
 	if err != nil {
 		return err
 	}
@@ -129,12 +136,12 @@ func cmdSetup(args []string) error {
 	if err != nil {
 		return err
 	}
-	c := goofi.Campaign{
+	c := core.Campaign{
 		Name:           *name,
 		Workload:       w,
 		Technique:      *tech,
 		Model:          m,
-		LocationFilter: goofi.LocationFilter(*locations),
+		LocationFilter: faultmodel.Filter(*locations),
 		TriggerSpec:    *trig,
 		NExperiments:   *n,
 		Seed:           *seed,
@@ -143,7 +150,7 @@ func cmdSetup(args []string) error {
 		DetailMode:     *detail,
 		Notes:          *notes,
 	}
-	ops := goofi.NewThorTarget()
+	ops := target.NewDefaultThorTarget()
 	if err := ops.InitTestCard(); err != nil {
 		return err
 	}
@@ -198,20 +205,20 @@ func cmdRun(args []string) error {
 	}
 	// -storage-chaos swaps the campaign database's filesystem for a seeded
 	// fault injector: goofi's own storage path becomes the target system.
-	fsys := goofi.OSFilesystem()
-	var storageFS *goofi.FaultyFS
+	var fsys vfs.FS = vfs.OS{}
+	var storageFS *vfs.Faulty
 	if *storageChaos != "" {
-		cfg, err := goofi.ParseFaultyFSConfig(*storageChaos)
+		cfg, err := vfs.ParseFaultyConfig(*storageChaos)
 		if err != nil {
 			return err
 		}
-		storageFS, err = goofi.NewFaultyFS(fsys, cfg)
+		storageFS, err = vfs.NewFaulty(fsys, cfg)
 		if err != nil {
 			return err
 		}
 		fsys = storageFS
 	}
-	var db *goofi.Database
+	var db *dbase.Store
 	var err error
 	switch {
 	case *wal:
@@ -219,7 +226,7 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("-db is required")
 		}
 		opts.CheckpointBytes = *walCkpt << 20
-		db, err = goofi.OpenDatabaseWALFS(*dbPath, fsys, opts)
+		db, err = dbase.OpenStoreWALFS(*dbPath, fsys, opts)
 		if err != nil {
 			return err
 		}
@@ -231,7 +238,7 @@ func cmdRun(args []string) error {
 		if *dbPath == "" {
 			return fmt.Errorf("-db is required")
 		}
-		db, err = goofi.OpenDatabaseFS(*dbPath, fsys)
+		db, err = dbase.OpenStoreFS(*dbPath, fsys)
 		if err != nil {
 			return err
 		}
@@ -245,7 +252,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := goofi.CampaignFromRow(row)
+	c, err := core.CampaignFromRow(row)
 	if err != nil {
 		return err
 	}
@@ -256,15 +263,15 @@ func cmdRun(args []string) error {
 	c.Fork = *fork
 	c.CheckpointEvery = *cpEvery
 	c.CheckpointMem = *cpMem << 20
-	var ops goofi.TargetOperations = goofi.NewThorTarget()
-	factory := goofi.ThorTargetFactory()
+	var ops target.Operations = target.NewDefaultThorTarget()
+	factory := target.DefaultThorFactory()
 	if *chaos != "" {
-		cfg, err := goofi.ParseFlakyConfig(*chaos)
+		cfg, err := target.ParseFlakyConfig(*chaos)
 		if err != nil {
 			return err
 		}
-		ops = goofi.NewFlakyTarget(ops, cfg)
-		factory = goofi.FlakyTargetFactory(factory, cfg)
+		ops = target.NewFlaky(ops, cfg)
+		factory = target.FlakyFactory(factory, cfg)
 		// A chaos run needs the robustness layer armed or it would just
 		// crash/wedge: default to a retry budget, and to a watchdog when the
 		// chaos includes hangs.
@@ -277,18 +284,18 @@ func cmdRun(args []string) error {
 	}
 	// The recorder wraps outermost — around any chaos layer — so measured
 	// phase times include the chaos delays the engine actually experienced.
-	var rec *goofi.Recorder
-	var events *goofi.Broadcaster
+	var rec *obsv.Recorder
+	var events *obsv.Broadcaster
 	if *metricsOut != "" || *traceOut != "" || *debugAddr != "" || *provenance {
-		rec = goofi.NewRecorder(goofi.RecorderOptions{Trace: *traceOut != "", Journal: *provenance})
+		rec = obsv.New(obsv.Options{Trace: *traceOut != "", Journal: *provenance})
 		db.SetRecorder(rec)
 		if storageFS != nil {
 			storageFS.SetRecorder(rec)
 		}
-		ops = goofi.NewMeasuredTarget(ops, rec)
-		factory = goofi.MeasuredTargetFactory(factory, rec)
+		ops = target.NewMeasured(ops, rec)
+		factory = target.MeasuredFactory(factory, rec)
 		if *debugAddr != "" {
-			events = goofi.NewBroadcaster()
+			events = obsv.NewBroadcaster()
 			addr, err := startDebugServer(*debugAddr, rec, events)
 			if err != nil {
 				return err
@@ -300,14 +307,14 @@ func cmdRun(args []string) error {
 				"watch", "goofi watch "+addr)
 		}
 	}
-	r := goofi.NewRunner(ops, db, c)
+	r := core.NewRunner(ops, db, c)
 	r.Factory = factory
 	r.Recorder = rec
 	r.Events = events
 	r.MonitorInterval = *monitorEvery
 	r.Logger = logger
 	if !*quiet {
-		r.OnProgress = func(p goofi.Progress) {
+		r.OnProgress = func(p core.Progress) {
 			extra := ""
 			if p.Retries > 0 || p.Hangs > 0 || p.Quarantined > 0 {
 				extra = fmt.Sprintf("  [retries=%d hangs=%d quarantined=%d]", p.Retries, p.Hangs, p.Quarantined)
@@ -333,7 +340,7 @@ func cmdRun(args []string) error {
 		if saveErr := db.Save(); saveErr != nil {
 			return saveErr
 		}
-		if errors.Is(err, goofi.ErrStopped) {
+		if errors.Is(err, core.ErrStopped) {
 			logger.Warn("campaign stopped; re-run the same command to resume",
 				"campaign", sum.Campaign,
 				"done", sum.Skipped+sum.Completed, "total", c.NExperiments)
@@ -378,7 +385,7 @@ func cmdRun(args []string) error {
 // drainJournal persists a provenance journal, if one was recorded, into the
 // campaign's trace table. Best-effort: a failed drain is logged, not
 // returned, so it cannot mask the run's own outcome.
-func drainJournal(db *goofi.Database, campaign string, rec *goofi.Recorder) {
+func drainJournal(db *dbase.Store, campaign string, rec *obsv.Recorder) {
 	j := rec.Journal()
 	if j == nil || j.Len() == 0 {
 		return
@@ -415,7 +422,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := goofi.Analyze(db, *name)
+	rep, err := analysis.Classify(db, *name)
 	if err != nil {
 		return err
 	}
@@ -429,16 +436,16 @@ func cmdAnalyze(args []string) error {
 		fmt.Print(rep)
 	}
 	if *byLocation > 0 {
-		stats, err := goofi.LocationBreakdown(db, *name, goofi.NewThorTarget())
+		stats, err := analysis.LocationBreakdown(db, *name, target.NewDefaultThorTarget())
 		if err != nil {
 			return err
 		}
 		fmt.Println("\nmost critical fault locations:")
-		fmt.Print(goofi.FormatLocationTable(stats, *byLocation))
+		fmt.Print(analysis.FormatLocationTable(stats, *byLocation))
 	}
 	if *genSQL {
 		fmt.Println("\n-- generated analysis script --")
-		fmt.Print(goofi.GenerateAnalysisSQL(*name))
+		fmt.Print(analysis.GenerateSQL(*name))
 	}
 	return db.Save()
 }
@@ -472,14 +479,14 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := goofi.CampaignFromRow(row)
+	c, err := core.CampaignFromRow(row)
 	if err != nil {
 		return err
 	}
-	ops := goofi.NewThorTarget()
-	r := goofi.NewRunner(ops, db, c)
+	ops := target.NewDefaultThorTarget()
+	r := core.NewRunner(ops, db, c)
 
-	refDetail, err := detailOf(db, r, *name+goofi.RefSuffix)
+	refDetail, err := detailOf(db, r, *name+core.RefSuffix)
 	if err != nil {
 		return err
 	}
@@ -487,7 +494,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	pr, err := goofi.ComparePropagation(refDetail, expDetail)
+	pr, err := analysis.ComparePropagation(refDetail, expDetail)
 	if err != nil {
 		return err
 	}
@@ -520,13 +527,13 @@ func traceTimeline(dbPath, campaign, experiment, chromeOut string) error {
 	}
 	// Sub-experiment events (WAL commits, storage faults) carry no
 	// experiment name in the journal; attribute them by attempt window now.
-	events = goofi.AttributeTraceEvents(events)
+	events = obsv.AttributeEvents(events)
 	if chromeOut != "" {
 		f, err := os.Create(chromeOut)
 		if err != nil {
 			return err
 		}
-		err = goofi.WriteChromeTraceEvents(f, events)
+		err = json.NewEncoder(f).Encode(obsv.ChromeTrace(events))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -539,16 +546,16 @@ func traceTimeline(dbPath, campaign, experiment, chromeOut string) error {
 		if !strings.Contains(experiment, "/") {
 			experiment = campaign + "/" + experiment
 		}
-		return goofi.FormatTraceTimeline(os.Stdout, events, experiment)
+		return obsv.FormatTimeline(os.Stdout, events, experiment)
 	}
-	goofi.FormatTraceSummary(os.Stdout, events)
+	obsv.FormatTraceSummary(os.Stdout, events)
 	return nil
 }
 
 // detailOf returns the detail-mode state vector of an experiment, rerunning
 // it if no detail rerun is logged yet.
-func detailOf(db *goofi.Database, r *goofi.Runner, experiment string) (*goofi.StateVector, error) {
-	detailName := experiment + goofi.DetailSuffix
+func detailOf(db *dbase.Store, r *core.Runner, experiment string) (*core.StateVector, error) {
+	detailName := experiment + core.DetailSuffix
 	row, err := db.GetExperiment(detailName)
 	if err != nil {
 		if detailName, err = r.RerunDetail(experiment); err != nil {
@@ -558,7 +565,7 @@ func detailOf(db *goofi.Database, r *goofi.Runner, experiment string) (*goofi.St
 			return nil, err
 		}
 	}
-	return goofi.DecodeStateVector(row.StateVector)
+	return core.DecodeStateVector(row.StateVector)
 }
 
 // cmdList prints the database inventory.
@@ -610,8 +617,8 @@ func cmdWorkloads(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for _, name := range goofi.Workloads() {
-		w, err := goofi.GetWorkload(name)
+	for _, name := range workload.Names() {
+		w, err := workload.Get(name)
 		if err != nil {
 			return err
 		}
@@ -631,14 +638,14 @@ func cmdTechniques(args []string) error {
 		return err
 	}
 	desc := map[string]string{
-		goofi.TechSCIFI:           "scan-chain implemented fault injection (breakpoints + TAP shifts)",
-		goofi.TechSCIFICheckpoint: "SCIFI with snapshot/restore of the pre-window prefix",
-		goofi.TechSWIFIPre:        "pre-runtime SWIFI: corrupt the memory image before execution",
-		goofi.TechSWIFIRuntime:    "runtime SWIFI: halt and corrupt memory mid-run",
-		goofi.TechPinLevel:        "pin-level injection on the boundary-scan chain",
-		goofi.TechSCIFITriggered:  "SCIFI injected on an execution event trigger",
+		core.TechSCIFI:           "scan-chain implemented fault injection (breakpoints + TAP shifts)",
+		core.TechSCIFICheckpoint: "SCIFI with snapshot/restore of the pre-window prefix",
+		core.TechSWIFIPre:        "pre-runtime SWIFI: corrupt the memory image before execution",
+		core.TechSWIFIRuntime:    "runtime SWIFI: halt and corrupt memory mid-run",
+		core.TechPinLevel:        "pin-level injection on the boundary-scan chain",
+		core.TechSCIFITriggered:  "SCIFI injected on an execution event trigger",
 	}
-	for _, name := range goofi.Techniques() {
+	for _, name := range core.Techniques() {
 		fmt.Printf("  %-18s %s\n", name, desc[name])
 	}
 	return nil
@@ -734,18 +741,18 @@ func cmdShow(args []string) error {
 	}
 	fmt.Printf("  cycles=%d iterations=%d\n", row.Cycles, row.Iterations)
 
-	sv, err := goofi.DecodeStateVector(row.StateVector)
+	sv, err := core.DecodeStateVector(row.StateVector)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("state:       %d chains, %d memory words, %d env iterations, %d trace samples\n",
 		len(sv.Chains), len(sv.Memory), len(sv.Env), len(sv.Trace))
 
-	refRow, err := db.GetExperiment(row.CampaignName + goofi.RefSuffix)
+	refRow, err := db.GetExperiment(row.CampaignName + core.RefSuffix)
 	if err != nil {
 		return nil // no reference (should not happen); plain dump only
 	}
-	refSV, err := goofi.DecodeStateVector(refRow.StateVector)
+	refSV, err := core.DecodeStateVector(refRow.StateVector)
 	if err != nil {
 		return err
 	}

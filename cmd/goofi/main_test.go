@@ -5,7 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"goofi"
+	"goofi/internal/core"
+	"goofi/internal/dbase"
 )
 
 // dbPath returns a per-test database file path.
@@ -44,7 +45,7 @@ func TestCLIFullFlow(t *testing.T) {
 
 	// The database file persists everything, including the detail rerun
 	// with its parent link.
-	store, err := goofi.OpenDatabase(db)
+	store, err := dbase.OpenStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCLIFullFlow(t *testing.T) {
 	if len(exps) != 11 {
 		t.Fatalf("experiments = %d", len(exps))
 	}
-	row, err := store.GetExperiment("cli1/e0003" + goofi.DetailSuffix)
+	row, err := store.GetExperiment("cli1/e0003" + core.DetailSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCLISetupMerge(t *testing.T) {
 	if err := run([]string{"setup", "-db", db, "-campaign", "both", "-merge", "m1,m2"}); err != nil {
 		t.Fatal(err)
 	}
-	store, err := goofi.OpenDatabase(db)
+	store, err := dbase.OpenStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCLIChaosRun(t *testing.T) {
 	if err := run([]string{"analyze", "-db", db, "-campaign", "chaos"}); err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	store, err := goofi.OpenDatabase(db)
+	store, err := dbase.OpenStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestCLIDeleteCampaign(t *testing.T) {
 	if err := run([]string{"delete", "-db", db, "-campaign", "del"}); err != nil {
 		t.Fatal(err)
 	}
-	store, err := goofi.OpenDatabase(db)
+	store, err := dbase.OpenStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,10 @@ import (
 	"testing"
 	"time"
 
-	"goofi"
+	"goofi/internal/core"
+	"goofi/internal/dbase"
+	"goofi/internal/obsv"
+	"goofi/internal/target"
 )
 
 // ---------------------------------------------------------------------------
@@ -381,13 +384,13 @@ func TestMetricsEndpointNoRecorder(t *testing.T) {
 func TestEventsEndpointStream(t *testing.T) {
 	oldB := debugEvents.Load()
 	defer debugEvents.Store(oldB)
-	b := goofi.NewBroadcaster()
+	b := obsv.NewBroadcaster()
 	debugEvents.Store(b)
 
 	srv := httptest.NewServer(newDebugMux())
 	defer srv.Close()
 
-	b.Publish(goofi.CampaignEvent{Campaign: "ev", Seq: 1, Done: 10, Total: 100})
+	b.Publish(obsv.CampaignEvent{Campaign: "ev", Seq: 1, Done: 10, Total: 100})
 	resp, err := http.Get(srv.URL + "/campaign/events")
 	if err != nil {
 		t.Fatal(err)
@@ -401,13 +404,13 @@ func TestEventsEndpointStream(t *testing.T) {
 	}
 
 	br := bufio.NewReader(resp.Body)
-	readEvent := func() goofi.CampaignEvent {
+	readEvent := func() obsv.CampaignEvent {
 		t.Helper()
 		line, err := br.ReadString('\n')
 		if err != nil {
 			t.Fatalf("reading event: %v", err)
 		}
-		var ev goofi.CampaignEvent
+		var ev obsv.CampaignEvent
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("malformed event %q: %v", line, err)
 		}
@@ -418,12 +421,12 @@ func TestEventsEndpointStream(t *testing.T) {
 	if first.Seq != 1 || first.Done != 10 {
 		t.Fatalf("replayed frame = %+v", first)
 	}
-	b.Publish(goofi.CampaignEvent{Campaign: "ev", Seq: 2, Done: 50, Total: 100})
+	b.Publish(obsv.CampaignEvent{Campaign: "ev", Seq: 2, Done: 50, Total: 100})
 	second := readEvent()
 	if second.Seq != 2 || second.Done != 50 {
 		t.Fatalf("second frame = %+v", second)
 	}
-	b.Publish(goofi.CampaignEvent{Campaign: "ev", Seq: 3, Done: 100, Total: 100, Final: true})
+	b.Publish(obsv.CampaignEvent{Campaign: "ev", Seq: 3, Done: 100, Total: 100, Final: true})
 	third := readEvent()
 	if !third.Final {
 		t.Fatalf("third frame = %+v, want final", third)
@@ -471,7 +474,7 @@ func TestEventsEndpointNoStream(t *testing.T) {
 func TestWatchLiveChaosCampaign(t *testing.T) {
 	const n = 200
 	dbFile := obsvCampaign(t, "livechaos", n)
-	db, err := goofi.OpenDatabase(dbFile)
+	db, err := dbase.OpenStore(dbFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,36 +482,36 @@ func TestWatchLiveChaosCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := goofi.CampaignFromRow(row)
+	c, err := core.CampaignFromRow(row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Workers = 2
 	c.RetryLimit = 4
 
-	cfg, err := goofi.ParseFlakyConfig("err=0.05,panic=0.01,seed=5")
+	cfg, err := target.ParseFlakyConfig("err=0.05,panic=0.01,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops goofi.TargetOperations = goofi.NewFlakyTarget(goofi.NewThorTarget(), cfg)
-	factory := goofi.FlakyTargetFactory(goofi.ThorTargetFactory(), cfg)
+	var ops target.Operations = target.NewFlaky(target.NewDefaultThorTarget(), cfg)
+	factory := target.FlakyFactory(target.DefaultThorFactory(), cfg)
 
-	rec := goofi.NewRecorder(goofi.RecorderOptions{})
+	rec := obsv.New(obsv.Options{})
 	db.SetRecorder(rec)
-	events := goofi.NewBroadcaster()
+	events := obsv.NewBroadcaster()
 	addr, err := startDebugServer("127.0.0.1:0", rec, events)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := goofi.NewRunner(ops, db, c)
+	r := core.NewRunner(ops, db, c)
 	r.Factory = factory
 	r.Recorder = rec
 	r.Events = events
 	r.MonitorInterval = 2 * time.Millisecond
 
 	type runResult struct {
-		sum goofi.Summary
+		sum core.Summary
 		err error
 	}
 	runDone := make(chan runResult, 1)
@@ -525,11 +528,11 @@ func TestWatchLiveChaosCampaign(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var recorded bytes.Buffer
-	var frames []goofi.CampaignEvent
+	var frames []obsv.CampaignEvent
 	sc := bufio.NewScanner(io.TeeReader(resp.Body, &recorded))
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		var ev goofi.CampaignEvent
+		var ev obsv.CampaignEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("malformed frame %q: %v", sc.Text(), err)
 		}

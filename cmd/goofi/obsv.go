@@ -16,12 +16,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"goofi"
+	"goofi/internal/obsv"
 )
 
 // writeObsv dumps the recorder's metrics snapshot and Chrome trace to the
 // requested files. A nil recorder (observability off) is a no-op.
-func writeObsv(rec *goofi.Recorder, metricsPath, tracePath string) error {
+func writeObsv(rec *obsv.Recorder, metricsPath, tracePath string) error {
 	if rec == nil {
 		return nil
 	}
@@ -66,8 +66,8 @@ func writeObsv(rec *goofi.Recorder, metricsPath, tracePath string) error {
 // in-process) safe.
 var (
 	debugPublish sync.Once
-	debugRec     atomic.Pointer[goofi.Recorder]
-	debugEvents  atomic.Pointer[goofi.Broadcaster]
+	debugRec     atomic.Pointer[obsv.Recorder]
+	debugEvents  atomic.Pointer[obsv.Broadcaster]
 )
 
 // newDebugMux builds the debug server's routes: expvar under /debug/vars,
@@ -96,7 +96,7 @@ func metricsHandler(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := goofi.WritePrometheus(w, rec.Snapshot()); err != nil {
+	if err := obsv.WritePrometheus(w, rec.Snapshot()); err != nil {
 		logger.Warn("prometheus exposition failed", "err", err)
 	}
 }
@@ -137,7 +137,7 @@ func eventsHandler(w http.ResponseWriter, req *http.Request) {
 // startDebugServer serves the debug routes of newDebugMux on addr for the
 // remainder of the process and points them at rec and events. It returns the
 // bound address so ":0" is usable.
-func startDebugServer(addr string, rec *goofi.Recorder, events *goofi.Broadcaster) (string, error) {
+func startDebugServer(addr string, rec *obsv.Recorder, events *obsv.Broadcaster) (string, error) {
 	debugRec.Store(rec)
 	debugEvents.Store(events)
 	debugPublish.Do(func() {
@@ -183,7 +183,7 @@ func cmdStats(args []string) error {
 		if err != nil {
 			return err
 		}
-		goofi.DiffMetrics(old, cur).Format(os.Stdout)
+		obsv.DiffSnapshots(old, cur).Format(os.Stdout)
 		return nil
 	}
 	if *metricsPath == "" {
@@ -198,15 +198,15 @@ func cmdStats(args []string) error {
 }
 
 // loadSnapshot reads one -metrics-out JSON dump.
-func loadSnapshot(path string) (goofi.MetricsSnapshot, error) {
+func loadSnapshot(path string) (obsv.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return goofi.MetricsSnapshot{}, err
+		return obsv.Snapshot{}, err
 	}
 	defer f.Close()
-	snap, err := goofi.ParseMetrics(f)
+	snap, err := obsv.ParseSnapshot(f)
 	if err != nil {
-		return goofi.MetricsSnapshot{}, fmt.Errorf("stats: %s is not a metrics snapshot: %w", path, err)
+		return obsv.Snapshot{}, fmt.Errorf("stats: %s is not a metrics snapshot: %w", path, err)
 	}
 	return snap, nil
 }

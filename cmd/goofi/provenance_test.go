@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"goofi"
+	"goofi/internal/dbase"
 )
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and returns
@@ -69,7 +69,7 @@ func TestCLIProvenanceFlow(t *testing.T) {
 	}
 
 	// Pick a retried experiment out of the persisted events.
-	store, err := goofi.OpenDatabase(db)
+	store, err := dbase.OpenStore(db)
 	if err != nil {
 		t.Fatal(err)
 	}

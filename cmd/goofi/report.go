@@ -14,7 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"goofi"
+	"goofi/internal/analysis"
+	"goofi/internal/target"
 )
 
 func cmdReport(args []string) error {
@@ -47,11 +48,11 @@ func cmdReport(args []string) error {
 			return fmt.Errorf("report: database has no campaigns")
 		}
 	}
-	var ops goofi.TargetOperations
+	var ops target.Operations
 	if *locations {
-		ops = goofi.NewThorTarget()
+		ops = target.NewDefaultThorTarget()
 	}
-	rep, err := goofi.CrossCampaignReport(db, names, ops)
+	rep, err := analysis.Cross(db, names, ops)
 	if err != nil {
 		return err
 	}
@@ -93,7 +94,7 @@ func serviceReport(addr, campaign string, jsonOut bool, w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)
 		return err
 	}
-	var rep goofi.Report
+	var rep analysis.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		return fmt.Errorf("report: decode: %w", err)
 	}
@@ -102,7 +103,7 @@ func serviceReport(addr, campaign string, jsonOut bool, w io.Writer) error {
 }
 
 // renderReport writes the report in the requested format.
-func renderReport(rep goofi.CrossReport, format string, w io.Writer) error {
+func renderReport(rep analysis.CrossReport, format string, w io.Writer) error {
 	switch format {
 	case "text":
 		rep.Format(w)

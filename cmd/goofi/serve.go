@@ -30,7 +30,7 @@ import (
 	"syscall"
 	"time"
 
-	"goofi"
+	"goofi/internal/service"
 )
 
 func cmdServe(args []string) error {
@@ -48,7 +48,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	svc, err := goofi.NewCampaignService(goofi.ServiceOptions{
+	svc, err := service.New(service.Options{
 		DataDir:     *dataDir,
 		QueueLimit:  *queueLimit,
 		Concurrency: *concurrency,
@@ -120,7 +120,7 @@ func cmdSubmit(args []string) error {
 	case *specPath != "":
 		body, err = os.ReadFile(*specPath)
 	default:
-		body, err = json.Marshal(goofi.CampaignSpec{
+		body, err = json.Marshal(service.Spec{
 			Tenant: *tenant, Campaign: *campaign, Workload: *workloadName,
 			Locations: *locations, Experiments: *n, Seed: *seed,
 			Workers: *workers, Chaos: *chaos,

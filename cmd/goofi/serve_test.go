@@ -23,15 +23,18 @@ import (
 	"testing"
 	"time"
 
-	"goofi"
+	"goofi/internal/analysis"
+	"goofi/internal/dbase"
+	"goofi/internal/obsv"
+	"goofi/internal/service"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // acceptanceSpec is the 200-experiment chaos campaign of the acceptance
 // contract: flaky targets, retries armed, parallel workers.
-func acceptanceSpec(tenant, name string) goofi.CampaignSpec {
-	return goofi.CampaignSpec{
+func acceptanceSpec(tenant, name string) service.Spec {
+	return service.Spec{
 		Tenant:      tenant,
 		Campaign:    name,
 		Workload:    "bubblesort",
@@ -45,9 +48,9 @@ func acceptanceSpec(tenant, name string) goofi.CampaignSpec {
 
 // startService brings up a campaign daemon over a fresh data dir and a real
 // HTTP listener, torn down with the test.
-func startService(t *testing.T, dataDir string) (*goofi.CampaignService, *httptest.Server) {
+func startService(t *testing.T, dataDir string) (*service.Server, *httptest.Server) {
 	t.Helper()
-	svc, err := goofi.NewCampaignService(goofi.ServiceOptions{
+	svc, err := service.New(service.Options{
 		DataDir:         dataDir,
 		Logger:          logger,
 		MonitorInterval: 20 * time.Millisecond,
@@ -65,9 +68,9 @@ func startService(t *testing.T, dataDir string) (*goofi.CampaignService, *httpte
 	return svc, srv
 }
 
-func experimentRows(t *testing.T, dbFile, campaign string) []goofi.ExperimentRow {
+func experimentRows(t *testing.T, dbFile, campaign string) []dbase.ExperimentRow {
 	t.Helper()
-	db, err := goofi.OpenDatabase(dbFile)
+	db, err := dbase.OpenStore(dbFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func experimentRows(t *testing.T, dbFile, campaign string) []goofi.ExperimentRow
 	return rows
 }
 
-func digestRows(rows []goofi.ExperimentRow) string {
+func digestRows(rows []dbase.ExperimentRow) string {
 	h := sha256.New()
 	for _, r := range rows {
 		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%s|%d|%d|%x\n",
@@ -135,11 +138,11 @@ func TestServiceAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last goofi.CampaignEvent
+	var last obsv.CampaignEvent
 	frames := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var ev goofi.CampaignEvent
+		var ev obsv.CampaignEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("frame %d: %v", frames, err)
 		}
@@ -165,7 +168,7 @@ func TestServiceAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st goofi.CampaignStatus
+		var st service.Status
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +191,7 @@ func TestServiceAcceptance(t *testing.T) {
 		out, _ := io.ReadAll(resp.Body)
 		t.Fatalf("report: %d: %s", resp.StatusCode, out)
 	}
-	var rep goofi.Report
+	var rep analysis.Report
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestServiceShardedAcceptance(t *testing.T) {
 	if _, err := svcSharded.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	for _, svc := range []*goofi.CampaignService{svcPlain, svcSharded} {
+	for _, svc := range []*service.Server{svcPlain, svcSharded} {
 		deadline := time.Now().Add(120 * time.Second)
 		for {
 			st, err := svc.Status("acme/accept")
@@ -286,7 +289,7 @@ func TestServiceShardedAcceptance(t *testing.T) {
 // through the flapping on the broadcaster's replay and still end on the
 // final frame.
 func TestWatchReconnectFlappingServer(t *testing.T) {
-	events := goofi.NewBroadcaster()
+	events := obsv.NewBroadcaster()
 	var mu sync.Mutex
 	conns := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -315,12 +318,12 @@ func TestWatchReconnectFlappingServer(t *testing.T) {
 
 	go func() {
 		for seq := int64(0); seq < 7; seq++ {
-			events.Publish(goofi.CampaignEvent{
+			events.Publish(obsv.CampaignEvent{
 				Campaign: "flap", Seq: seq, Done: int(seq), Total: 7,
 			})
 			time.Sleep(20 * time.Millisecond)
 		}
-		events.Publish(goofi.CampaignEvent{
+		events.Publish(obsv.CampaignEvent{
 			Campaign: "flap", Seq: 7, Done: 7, Total: 7, Final: true,
 		})
 		events.Close()

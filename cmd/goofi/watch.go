@@ -15,7 +15,7 @@ import (
 	"strings"
 	"time"
 
-	"goofi"
+	"goofi/internal/obsv"
 )
 
 func cmdWatch(args []string) error {
@@ -76,15 +76,15 @@ func watchReconnect(url string, maxRetries int, w io.Writer) error {
 }
 
 // watchOnce opens the stream once and renders frames newer than lastSeq.
-func watchOnce(url string, lastSeq int64, w io.Writer) (goofi.CampaignEvent, bool, error) {
+func watchOnce(url string, lastSeq int64, w io.Writer) (obsv.CampaignEvent, bool, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return goofi.CampaignEvent{}, false, err
+		return obsv.CampaignEvent{}, false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
-		return goofi.CampaignEvent{}, false,
+		return obsv.CampaignEvent{}, false,
 			fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	return watchEventsFrom(resp.Body, w, lastSeq)
@@ -93,7 +93,7 @@ func watchOnce(url string, lastSeq int64, w io.Writer) (goofi.CampaignEvent, boo
 // watchEvents renders the event stream as a single live-updating line,
 // returning the last event seen. Factored out of cmdWatch so tests can feed
 // it a recorded stream.
-func watchEvents(r io.Reader, w io.Writer) (goofi.CampaignEvent, error) {
+func watchEvents(r io.Reader, w io.Writer) (obsv.CampaignEvent, error) {
 	last, seen, err := watchEventsFrom(r, w, -1)
 	if err != nil {
 		return last, err
@@ -108,8 +108,8 @@ func watchEvents(r io.Reader, w io.Writer) (goofi.CampaignEvent, error) {
 // frames (the broadcaster's replay of something already rendered before a
 // reconnect) are skipped silently. It reports whether any frame at all was
 // received, so the reconnect loop can tell a dead server from a quiet one.
-func watchEventsFrom(r io.Reader, w io.Writer, afterSeq int64) (goofi.CampaignEvent, bool, error) {
-	var last goofi.CampaignEvent
+func watchEventsFrom(r io.Reader, w io.Writer, afterSeq int64) (obsv.CampaignEvent, bool, error) {
+	var last obsv.CampaignEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	seen := false
@@ -118,7 +118,7 @@ func watchEventsFrom(r io.Reader, w io.Writer, afterSeq int64) (goofi.CampaignEv
 		if line == "" {
 			continue
 		}
-		var ev goofi.CampaignEvent
+		var ev obsv.CampaignEvent
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			return last, seen, fmt.Errorf("malformed event: %w", err)
 		}
@@ -144,7 +144,7 @@ func watchEventsFrom(r io.Reader, w io.Writer, afterSeq int64) (goofi.CampaignEv
 
 // watchLine is the live view: progress bar, rate, ETA, coverage-so-far and
 // the fault-tolerance counters.
-func watchLine(ev goofi.CampaignEvent) string {
+func watchLine(ev obsv.CampaignEvent) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s [%-30s] %d/%d", ev.Campaign, bar(ev.Done, ev.Total, 30), ev.Done, ev.Total)
 	if ev.RatePerSec > 0 {
@@ -170,7 +170,7 @@ func watchLine(ev goofi.CampaignEvent) string {
 }
 
 // watchSummary is printed once after the final frame.
-func watchSummary(ev goofi.CampaignEvent) string {
+func watchSummary(ev obsv.CampaignEvent) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "campaign %q finished: %d/%d experiments in %s",
 		ev.Campaign, ev.Done, ev.Total, time.Duration(ev.ElapsedNs).Round(time.Millisecond))

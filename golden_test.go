@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"goofi/internal/dbase"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -50,7 +52,7 @@ func TestGoldenCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outcomes := map[string]AnalysisRow{}
+	outcomes := map[string]dbase.AnalysisRow{}
 	arows, err := db.AnalysisResults("golden")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +136,9 @@ func TestGoldenForkedCampaign(t *testing.T) {
 		c := base
 		c.Fork = fork
 		c.Workers = workers
-		sum, err := RunCampaignParallel(context.Background(), ops, ThorTargetFactory(), db, c, nil)
+		r := NewRunner(ops, db, c)
+		r.Factory = ThorTargetFactory()
+		sum, err := r.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,12 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"goofi/internal/analysis"
+	"goofi/internal/core"
+	"goofi/internal/target"
+	"goofi/internal/thor"
+	"goofi/internal/workload"
 )
 
 // TestPublicAPIPipeline drives the whole tool through the facade only:
@@ -49,29 +55,26 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal("report format broken")
 	}
 
-	sql := GenerateAnalysisSQL("facade")
+	sql := analysis.GenerateSQL("facade")
 	if err := db.DB().ExecScript(sql); err != nil {
 		t.Fatalf("generated SQL: %v", err)
 	}
 }
 
 func TestFacadeInventories(t *testing.T) {
-	ws := Workloads()
+	ws := workload.Names()
 	if len(ws) != 5 {
 		t.Fatalf("workloads = %v", ws)
 	}
-	if _, err := GetWorkload("control"); err != nil {
+	if _, err := workload.Get("control"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GetWorkload("zz"); err == nil {
+	if _, err := workload.Get("zz"); err == nil {
 		t.Fatal("unknown workload should fail")
 	}
-	techs := Techniques()
+	techs := core.Techniques()
 	if len(techs) < 5 {
 		t.Fatalf("techniques = %v", techs)
-	}
-	if len(EDMs()) != 10 {
-		t.Fatalf("EDMs = %v", EDMs())
 	}
 }
 
@@ -143,9 +146,9 @@ func TestFacadeLivenessAndPropagation(t *testing.T) {
 }
 
 func TestFacadeCustomTargetConfig(t *testing.T) {
-	cfg := ThorConfig()
+	cfg := thor.DefaultConfig()
 	cfg.WatchdogLimit = 4096
-	ops := NewThorTargetWithConfig(cfg)
+	ops := target.NewThorTarget(cfg)
 	if err := ops.InitTestCard(); err != nil {
 		t.Fatal(err)
 	}

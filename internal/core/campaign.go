@@ -291,7 +291,6 @@ func Techniques() []string {
 }
 
 func techniqueFor(name string) (technique, error) {
-	RegisterBuiltins() // the shipped techniques are always resolvable
 	techMu.RLock()
 	defer techMu.RUnlock()
 	t, ok := techniques[name]
@@ -322,21 +321,15 @@ func pinsOnly(l faultmodel.Location) error {
 	return nil
 }
 
-// registerBuiltinTechniques installs the shipped algorithms; guarded so both
-// the facade and tests can call it.
-var registerOnce sync.Once
-
-// RegisterBuiltins installs the built-in techniques. Safe to call multiple
-// times.
-func RegisterBuiltins() {
-	registerOnce.Do(func() {
-		mustRegister(TechSCIFI, faultInjectorSCIFI, scanOnly)
-		mustRegister(TechSWIFIPre, faultInjectorSWIFIPre, memOnly)
-		mustRegister(TechSWIFIRuntime, faultInjectorSWIFIRuntime, memOnly)
-		mustRegister(TechPinLevel, faultInjectorSCIFI, pinsOnly)
-		mustRegister(TechSCIFITriggered, faultInjectorTriggered, scanOnly)
-		mustRegister(TechSCIFICheckpoint, faultInjectorSCIFICheckpoint, scanOnly)
-	})
+// init installs the built-in techniques, so every caller of the package
+// sees them without a setup call.
+func init() {
+	mustRegister(TechSCIFI, faultInjectorSCIFI, scanOnly)
+	mustRegister(TechSWIFIPre, faultInjectorSWIFIPre, memOnly)
+	mustRegister(TechSWIFIRuntime, faultInjectorSWIFIRuntime, memOnly)
+	mustRegister(TechPinLevel, faultInjectorSCIFI, pinsOnly)
+	mustRegister(TechSCIFITriggered, faultInjectorTriggered, scanOnly)
+	mustRegister(TechSCIFICheckpoint, faultInjectorSCIFICheckpoint, scanOnly)
 }
 
 func mustRegister(name string, algo Algorithm, check func(faultmodel.Location) error) {

@@ -172,10 +172,8 @@ type Runner struct {
 	stopped bool
 }
 
-// NewRunner builds a runner. RegisterBuiltins is called implicitly so the
-// shipped techniques are always available.
+// NewRunner builds a runner.
 func NewRunner(ops target.Operations, store CampaignStore, campaign Campaign) *Runner {
-	RegisterBuiltins()
 	r := &Runner{ops: ops, store: store, campaign: campaign}
 	r.cond = sync.NewCond(&r.mu)
 	return r

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"goofi/internal/dbase"
+	"goofi/internal/envsim"
 	"goofi/internal/faultmodel"
 	"goofi/internal/obsv"
 	"goofi/internal/sqldb"
@@ -134,7 +138,6 @@ func TestCampaignRowRoundTrip(t *testing.T) {
 
 func TestCampaignValidate(t *testing.T) {
 	ops, _ := newEnv(t)
-	RegisterBuiltins()
 	good := scifiCampaign("v", 5)
 	if err := good.Validate(ops); err != nil {
 		t.Fatal(err)
@@ -163,7 +166,6 @@ func TestCampaignValidate(t *testing.T) {
 }
 
 func TestTechniqueRegistry(t *testing.T) {
-	RegisterBuiltins()
 	names := Techniques()
 	for _, want := range []string{TechSCIFI, TechSWIFIPre, TechSWIFIRuntime, TechPinLevel, TechSCIFITriggered} {
 		found := false
@@ -190,6 +192,32 @@ func TestTechniqueRegistry(t *testing.T) {
 	}
 	if err := RegisterTechnique(fmt.Sprintf("custom-test-technique-%d", len(Techniques())), custom, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// freshProcessEnv marks the re-executed test binary of
+// TestBuiltinsRegisteredAtInit.
+const freshProcessEnv = "GOOFI_CORE_FRESH_PROCESS"
+
+// TestBuiltinsRegisteredAtInit pins that the built-in techniques and
+// environment simulators exist from package initialisation: a fresh process
+// that has built no runner and loaded no workload lists all six techniques
+// and can instantiate a built-in simulator.
+func TestBuiltinsRegisteredAtInit(t *testing.T) {
+	if os.Getenv(freshProcessEnv) == "1" {
+		want := []string{TechPinLevel, TechSCIFI, TechSCIFICheckpoint, TechSCIFITriggered, TechSWIFIPre, TechSWIFIRuntime}
+		if got := Techniques(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("techniques in a fresh process = %v, want %v", got, want)
+		}
+		if _, err := envsim.New("pendulum"); err != nil {
+			t.Fatalf("envsim in a fresh process: %v", err)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBuiltinsRegisteredAtInit$", "-test.count=1")
+	cmd.Env = append(os.Environ(), freshProcessEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("fresh process: %v\n%s", err, out)
 	}
 }
 

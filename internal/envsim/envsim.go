@@ -25,10 +25,15 @@ type Simulator interface {
 	Reset()
 }
 
-// registry of built-in simulators, keyed by name.
+// registry of simulators, keyed by name. The built-ins are installed when
+// the package is initialised.
 var (
 	regMu    sync.RWMutex
-	registry = map[string]func() Simulator{}
+	registry = map[string]func() Simulator{
+		"echo":       func() Simulator { return NewEcho() },
+		"jet-engine": func() Simulator { return NewJetEngine() },
+		"pendulum":   func() Simulator { return NewPendulum() },
+	}
 )
 
 // Register installs a simulator constructor under its name. Registering a
@@ -64,29 +69,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Builtins registers the simulators shipped with the reproduction. It is
-// idempotent per process only if called once; callers normally use
-// DefaultRegistry instead.
-func builtins() map[string]func() Simulator {
-	return map[string]func() Simulator{
-		"echo":       func() Simulator { return NewEcho() },
-		"jet-engine": func() Simulator { return NewJetEngine() },
-		"pendulum":   func() Simulator { return NewPendulum() },
-	}
-}
-
-// RegisterBuiltins installs the built-in simulators, ignoring duplicates so
-// it can be called from multiple setup paths.
-func RegisterBuiltins() {
-	for name, ctor := range builtins() {
-		regMu.Lock()
-		if _, dup := registry[name]; !dup {
-			registry[name] = ctor
-		}
-		regMu.Unlock()
-	}
 }
 
 // --- Echo ---

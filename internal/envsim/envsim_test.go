@@ -6,7 +6,6 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	RegisterBuiltins()
 	names := Names()
 	want := map[string]bool{"echo": true, "jet-engine": true, "pendulum": true}
 	for _, n := range names {
@@ -268,7 +267,6 @@ func TestRecorderStateful(t *testing.T) {
 // produce byte-identical trajectories from the snapshot point — including
 // the Recorder's history, which feeds the logged StateVector.
 func TestRestoreStateRoundTrip(t *testing.T) {
-	RegisterBuiltins()
 	for _, name := range []string{"echo", "jet-engine", "pendulum"} {
 		t.Run(name, func(t *testing.T) {
 			sim, err := New(name)

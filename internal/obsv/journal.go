@@ -105,7 +105,7 @@ type WideEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// DefaultJournalCap bounds the ring journal when Options.JournalCap is zero:
+// DefaultJournalCap bounds a recorder's ring journal:
 // enough for tens of thousands of experiments' worth of events without
 // letting a runaway campaign hold gigabytes.
 const DefaultJournalCap = 1 << 16

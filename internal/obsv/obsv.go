@@ -97,12 +97,8 @@ type Options struct {
 	// Trace enables the span tracer (Chrome trace_event buffer). Metrics
 	// are always on for a non-nil recorder.
 	Trace bool
-	// TraceCap bounds the buffered trace events; 0 means DefaultTraceCap.
-	TraceCap int
 	// Journal enables the provenance wide-event journal (see journal.go).
 	Journal bool
-	// JournalCap bounds the journal ring; 0 means DefaultJournalCap.
-	JournalCap int
 }
 
 // Recorder collects metrics (always, when non-nil) and trace spans (when
@@ -124,10 +120,10 @@ func New(o Options) *Recorder {
 		r.phases[p] = r.reg.Histogram("phase." + p.String())
 	}
 	if o.Trace {
-		r.tracer = newTracer(o.TraceCap)
+		r.tracer = newTracer(DefaultTraceCap)
 	}
 	if o.Journal {
-		r.journal = NewJournal(o.JournalCap)
+		r.journal = NewJournal(DefaultJournalCap)
 	}
 	return r
 }

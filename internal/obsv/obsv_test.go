@@ -170,7 +170,8 @@ func TestRecorderPhasesAndTrace(t *testing.T) {
 }
 
 func TestTraceCapDrops(t *testing.T) {
-	r := New(Options{Trace: true, TraceCap: 2})
+	r := New(Options{Trace: true})
+	r.tracer = newTracer(2)
 	for i := 0; i < 5; i++ {
 		r.Begin(PhaseInit, 0).End()
 	}

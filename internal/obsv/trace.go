@@ -40,12 +40,7 @@ type tracer struct {
 	dropped int64
 }
 
-func newTracer(capEvents int) *tracer {
-	if capEvents <= 0 {
-		capEvents = DefaultTraceCap
-	}
-	return &tracer{cap: capEvents}
-}
+func newTracer(capEvents int) *tracer { return &tracer{cap: capEvents} }
 
 // add buffers one complete event.
 func (t *tracer) add(name, cat string, tid int32, start, dur time.Duration) {

@@ -168,7 +168,7 @@ func TestMeasuredNilRecorder(t *testing.T) {
 // tagging used by the parallel runner.
 func TestMeasuredFactoryAndTID(t *testing.T) {
 	rec := obsv.New(obsv.Options{Trace: true})
-	f := MeasuredFactory(SimpleFactory(), rec)
+	f := MeasuredFactory(FactoryFunc(func() (Operations, error) { return NewSimpleTarget(), nil }), rec)
 	ops, err := f.New()
 	if err != nil {
 		t.Fatal(err)

@@ -203,9 +203,3 @@ func SimpleChecksumWorkload() workload.Spec {
 		ResultAddrs:    []uint32{4 * simpleResultWord},
 	}
 }
-
-// SimpleFactory mints independent accumulator-machine targets for parallel
-// campaign workers.
-func SimpleFactory() Factory {
-	return FactoryFunc(func() (Operations, error) { return NewSimpleTarget(), nil })
-}

@@ -142,7 +142,6 @@ func (t *ThorTarget) LoadWorkload(w workload.Spec) error {
 	t.w = w
 	t.env = nil
 	if w.Env != "" {
-		envsim.RegisterBuiltins()
 		sim, err := envsim.New(w.Env)
 		if err != nil {
 			return fmt.Errorf("target: workload %s: %w", w.Name, err)

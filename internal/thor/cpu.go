@@ -48,15 +48,6 @@ const (
 	EDMAssertion     = "assertion" // software TRAP (executable assertions)
 )
 
-// EDMs lists every error detection mechanism of the processor.
-func EDMs() []string {
-	return []string{
-		EDMICacheParity, EDMDCacheParity, EDMIllegalOpcode, EDMAccess,
-		EDMROMWrite, EDMDivZero, EDMStackLimit, EDMWatchdog,
-		EDMControlFlow, EDMAssertion,
-	}
-}
-
 // Detection records a fired error detection mechanism.
 type Detection struct {
 	// Mechanism is one of the EDM* constants.
