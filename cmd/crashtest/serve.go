@@ -233,6 +233,14 @@ func queuedIDs(dataDir string) (map[string]bool, error) {
 	return ids, nil
 }
 
+// tenantStarted reports whether the service ever opened the campaign's
+// tenant store, which it does when the campaign starts: opening creates the
+// write-ahead log.
+func tenantStarted(dataDir, tenant, campaign string) bool {
+	_, err := os.Stat(filepath.Join(dataDir, tenant, campaign+".db.wal"))
+	return err == nil
+}
+
 // tenantRows opens a tenant store offline through the recovery path and
 // returns its experiment rows sorted by name. A store the service never got
 // around to creating reads as empty.
@@ -320,7 +328,7 @@ func runServeHarness(out *os.File, opt options) error {
 	if err != nil {
 		return err
 	}
-	interrupted, completed := 0, 0
+	midRun, queuedOnly, completed := 0, 0, 0
 	horizons := map[[2]int]time.Duration{}
 	for i := 0; i < opt.Iterations; i++ {
 		shards := serveShards(i)
@@ -335,20 +343,34 @@ func runServeHarness(out *os.File, opt options) error {
 		if err != nil {
 			return fmt.Errorf("iteration %d (seed %d): %w", i, opt.Seed+int64(i), err)
 		}
-		if res.killedLive {
-			interrupted++
-		} else {
+		switch {
+		case len(res.midRun) > 0:
+			midRun++
+		case len(res.queued) > 0:
+			queuedOnly++
+		default:
 			completed++
 		}
 		if opt.Verbose {
-			fmt.Fprintf(out, "iter %2d: seed=%d shards=%v sigterm=%v/%v recovered=%d resumed=%v %s\n",
+			fmt.Fprintf(out, "iter %2d: seed=%d shards=%v sigterm=%v/%v recovered=%d/%d %s\n",
 				i, opt.Seed+int64(i), shards, res.killDelay, horizon.Round(time.Microsecond),
-				res.recovered, res.killedLive, res.outcome)
+				res.rows[0], res.rows[1], res.outcome)
 		}
 	}
-	fmt.Fprintf(out, "crashtest -serve PASS: %d iterations (%d drained mid-campaign, %d finished first), %d experiments each\n",
-		opt.Iterations, interrupted, completed, opt.Experiments)
+	fmt.Fprintf(out, "crashtest -serve PASS: %d iterations (%d drained a campaign mid-run, %d left only a queued campaign that never started, %d finished first), %d experiments each\n",
+		opt.Iterations, midRun, queuedOnly, completed, opt.Experiments)
 	return nil
+}
+
+// serveResult is the outcome of one serve iteration. A campaign pending in
+// the drained queue was either running when SIGTERM arrived, and interrupted
+// mid-run, or still queued behind the other and never started.
+type serveResult struct {
+	killDelay time.Duration
+	rows      [2]int   // rows of campaigns A and B on disk after the drain
+	midRun    []string // pending campaigns the drain interrupted mid-run
+	queued    []string // pending campaigns that never started
+	outcome   string
 }
 
 // serveShards is the shard count of campaigns A and B in iteration iter.
@@ -438,8 +460,8 @@ func awaitFinalFrame(base, id string, timeout time.Duration) error {
 	return fmt.Errorf("events %s ended before the final frame", id)
 }
 
-func serveIteration(exe string, opt options, iter int, shards [2]int, horizon time.Duration) (iterResult, error) {
-	var res iterResult
+func serveIteration(exe string, opt options, iter int, shards [2]int, horizon time.Duration) (serveResult, error) {
+	var res serveResult
 	seed := opt.Seed + int64(iter)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -486,14 +508,12 @@ func serveIteration(exe string, opt options, iter int, shards [2]int, horizon ti
 	if err != nil {
 		return res, err
 	}
-	for _, sc := range []serveCampaign{a, b} {
+	for i, sc := range []serveCampaign{a, b} {
 		rows, err := tenantRows(dir, sc.spec.Tenant, sc.spec.Campaign)
 		if err != nil {
 			return res, err
 		}
-		if sc.id == a.id {
-			res.recovered = len(rows)
-		}
+		res.rows[i] = len(rows)
 		if err := checkPrefix(rows, sc.want, sc.id); err != nil {
 			return res, err
 		}
@@ -501,8 +521,14 @@ func serveIteration(exe string, opt options, iter int, shards [2]int, horizon ti
 			return res, fmt.Errorf("%s drained with %d/%d rows but is not in queue.json",
 				sc.id, len(rows), len(sc.want))
 		}
+		switch {
+		case !pending[sc.id]:
+		case tenantStarted(dir, sc.spec.Tenant, sc.spec.Campaign):
+			res.midRun = append(res.midRun, fmt.Sprintf("%s (%d/%d rows)", sc.id, len(rows), len(sc.want)))
+		default:
+			res.queued = append(res.queued, sc.id)
+		}
 	}
-	res.killedLive = len(pending) > 0
 
 	// Phase 3: restart on the same directory; the daemon must resume the
 	// pending campaigns on its own. Poll them to done, drain again.
@@ -541,10 +567,13 @@ func serveIteration(exe string, opt options, iter int, shards [2]int, horizon ti
 	if _, err := os.Stat(filepath.Join(dir, "queue.json")); !os.IsNotExist(err) {
 		return res, fmt.Errorf("queue.json still present after a clean drain (err=%v)", err)
 	}
-	if res.killedLive {
-		res.outcome = fmt.Sprintf("drained mid-campaign (%d campaigns pending), resumed to reference state", len(pending))
-	} else {
+	switch {
+	case len(pending) == 0:
 		res.outcome = "both campaigns finished before SIGTERM"
+	case len(res.midRun) > 0:
+		res.outcome = fmt.Sprintf("drained mid-run %v, queued %v, resumed to reference state", res.midRun, res.queued)
+	default:
+		res.outcome = fmt.Sprintf("queued, not started %v, resumed to reference state", res.queued)
 	}
 	return res, nil
 }

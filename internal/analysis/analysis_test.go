@@ -102,9 +102,9 @@ func TestClassifyCampaign(t *testing.T) {
 }
 
 // TestClassifyCommits pins what classification costs on a strict WAL store:
-// a 64-experiment campaign stores its results in one chunked INSERT, plus at
-// most one chunked DELETE when earlier results are replaced — never one
-// commit per experiment.
+// a 64-experiment campaign stores its results in one batch, one commit,
+// whether or not a DELETE replaces earlier results — never one commit per
+// experiment or per statement.
 func TestClassifyCommits(t *testing.T) {
 	store, err := dbase.OpenStoreWAL(filepath.Join(t.TempDir(), "an.db"), sqldb.WALOptions{SyncEvery: 1})
 	if err != nil {
@@ -124,8 +124,8 @@ func TestClassifyCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fsyncs := store.DB().WALStats().Fsyncs - before; fsyncs > 2 {
-			t.Fatalf("%s Classify of 64 experiments cost %d fsyncs, want at most 2", pass, fsyncs)
+		if fsyncs := store.DB().WALStats().Fsyncs - before; fsyncs != 1 {
+			t.Fatalf("%s Classify of 64 experiments cost %d fsyncs, want 1", pass, fsyncs)
 		}
 		rows, err := store.AnalysisResults("wal64")
 		if err != nil {

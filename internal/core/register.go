@@ -13,7 +13,8 @@ import (
 // are entered into TargetSystemData.
 //
 // Locations are recorded per named state element (scan-chain field), e.g.
-// "internal.core/R3" with its first bit, width and writability.
+// "internal.core/R3" with its first bit, width and writability. The target
+// row and its inventory are one store write (PutTargetSystem).
 func RegisterTarget(store *dbase.Store, ops target.Operations, description string) error {
 	if err := ops.InitTestCard(); err != nil {
 		return fmt.Errorf("core: register target: %w", err)
@@ -24,9 +25,6 @@ func RegisterTarget(store *dbase.Store, ops target.Operations, description strin
 		Description:  description,
 		MemSize:      mem,
 		ROMSize:      rom,
-	}
-	if err := store.PutTargetSystem(ts); err != nil {
-		return err
 	}
 	chains := ops.Chains()
 	nRows, maxBits := 0, 0
@@ -57,5 +55,5 @@ func RegisterTarget(store *dbase.Store, ops target.Operations, description strin
 			})
 		}
 	}
-	return store.PutFaultLocations(rows)
+	return store.PutTargetSystem(ts, rows...)
 }

@@ -11,6 +11,20 @@ import (
 	"goofi/internal/target"
 )
 
+// collectDeep runs a full collection from n KiB down this goroutine's
+// stack. A collection shrinks the stack of a goroutine that uses little of
+// it, and the campaign measured next would regrow it in glue no phase
+// covers: a cost of the test's own collection, not of the engine.
+func collectDeep(n int) {
+	var frame [1 << 10]byte
+	if n > 1 {
+		collectDeep(n - 1)
+	} else {
+		runtime.GC()
+	}
+	runtime.KeepAlive(&frame)
+}
+
 // TestRunnerInstrumentedSequential runs a small campaign with the full
 // observability stack and checks the acceptance property: the leaf phases
 // of the campaign threads (all but the logging stage's store flushes)
@@ -30,7 +44,7 @@ func TestRunnerInstrumentedSequential(t *testing.T) {
 		// goroutines, so the retained heap is large by the time this runs;
 		// collect up front so the measured window pays for its own garbage
 		// only, not for marking everyone else's.
-		runtime.GC()
+		collectDeep(256)
 		rec = obsv.New(obsv.Options{Trace: true})
 		thor, store := newEnv(t)
 		store.SetRecorder(rec)

@@ -55,21 +55,21 @@ func scifiCampaign(name string, n int) Campaign {
 	}
 }
 
-// TestRegisterTargetCommits pins what registration costs on a strict WAL
-// store: one commit for the target row and one per chunked FaultLocation
-// INSERT of at most 256 rows, not one fsync per location.
+// TestRegisterTargetCommits pins the WAL commits of a fresh strict store's
+// open plus RegisterTarget: the schema is one batch and the target row with
+// its whole inventory another, two fsyncs in all (eleven when every
+// statement was its own commit). A reopen installs no table and commits
+// nothing, and registering again is one commit.
 func TestRegisterTargetCommits(t *testing.T) {
-	store, err := dbase.OpenStoreWAL(filepath.Join(t.TempDir(), "reg.db"), sqldb.WALOptions{SyncEvery: 1})
+	path := filepath.Join(t.TempDir(), "reg.db")
+	store, err := dbase.OpenStoreWAL(path, sqldb.WALOptions{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	before := store.DB().WALStats().Fsyncs
 	ops := target.NewDefaultThorTarget()
 	if err := RegisterTarget(store, ops, "simulated Thor RD"); err != nil {
 		t.Fatal(err)
 	}
-	fsyncs := store.DB().WALStats().Fsyncs - before
 	locs, err := store.FaultLocations(ops.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,25 @@ func TestRegisterTargetCommits(t *testing.T) {
 	if len(locs) != 546 {
 		t.Fatalf("locations = %d, want 546", len(locs))
 	}
-	if limit := int64(1 + (len(locs)+255)/256); fsyncs > limit {
-		t.Fatalf("registering %d locations cost %d fsyncs, want at most %d", len(locs), fsyncs, limit)
+	if got := store.DB().WALStats().Fsyncs; got != 2 {
+		t.Fatalf("fresh open plus registering %d locations cost %d fsyncs, want 2", len(locs), got)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = dbase.OpenStoreWAL(path, sqldb.WALOptions{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if got := store.DB().WALStats().Fsyncs; got != 0 {
+		t.Fatalf("reopen cost %d fsyncs, want 0", got)
+	}
+	if err := RegisterTarget(store, ops, "again"); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.DB().WALStats().Fsyncs; got != 1 {
+		t.Fatalf("re-registration cost %d fsyncs, want 1", got)
 	}
 }
 

@@ -187,10 +187,25 @@ CREATE TABLE IF NOT EXISTS ExperimentTraceEvents (
 );
 `
 
+// schemaBatch is schema split into its CREATE TABLE statements, installed
+// as one batch: one WAL commit on a fresh store, none on a reopen, where
+// every table already exists.
+var schemaBatch = func() []sqldb.Stmt {
+	texts, err := sqldb.SplitStatements(schema)
+	if err != nil {
+		panic(err)
+	}
+	batch := make([]sqldb.Stmt, len(texts))
+	for i, t := range texts {
+		batch[i].SQL = t
+	}
+	return batch
+}()
+
 // NewMemoryStore builds a fresh in-memory store with the schema installed.
 func NewMemoryStore() (*Store, error) {
 	s := &Store{db: sqldb.New()}
-	if err := s.db.ExecScript(schema); err != nil {
+	if err := s.db.ExecBatch(schemaBatch); err != nil {
 		return nil, fmt.Errorf("dbase: install schema: %w", err)
 	}
 	return s, nil
@@ -216,7 +231,7 @@ func OpenStoreFS(path string, fsys vfs.FS) (*Store, error) {
 		return nil, fmt.Errorf("dbase: %w", err)
 	}
 	s := &Store{db: db, path: path}
-	if err := s.db.ExecScript(schema); err != nil {
+	if err := s.db.ExecBatch(schemaBatch); err != nil {
 		return nil, fmt.Errorf("dbase: install schema: %w", err)
 	}
 	return s, nil
@@ -245,7 +260,7 @@ func OpenStoreWALFS(path string, fsys vfs.FS, opts sqldb.WALOptions) (*Store, er
 		return nil, fmt.Errorf("dbase: %w", err)
 	}
 	s := &Store{db: db, path: path}
-	if err := s.db.ExecScript(schema); err != nil {
+	if err := s.db.ExecBatch(schemaBatch); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("dbase: install schema: %w", err)
 	}
@@ -293,26 +308,30 @@ type LocationRow struct {
 	Writable     bool
 }
 
-// PutTargetSystem inserts or replaces a target system description.
-func (s *Store) PutTargetSystem(ts TargetSystem) error {
+// PutTargetSystem inserts or replaces a target system description together
+// with its fault-location inventory locs, dropping the target's earlier
+// locations. The row and its inventory are one store write, all of it or
+// none even across a crash: a store never holds a target whose inventory is
+// partial.
+func (s *Store) PutTargetSystem(ts TargetSystem, locs ...LocationRow) error {
 	if ts.TestCardName == "" {
 		return fmt.Errorf("dbase: target system needs a name")
 	}
-	_, err := s.db.Exec("DELETE FROM FaultLocation WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
-	if err != nil {
-		return fmt.Errorf("dbase: replace fault locations: %w", err)
+	name := sqldb.Text(ts.TestCardName)
+	batch := []sqldb.Stmt{
+		{SQL: "DELETE FROM FaultLocation WHERE testCardName = ?", Args: []sqldb.Value{name}},
+		{SQL: "DELETE FROM TargetSystemData WHERE testCardName = ?", Args: []sqldb.Value{name}},
+		{SQL: "INSERT INTO TargetSystemData VALUES (?, ?, ?, ?)", Args: []sqldb.Value{
+			name, sqldb.Text(ts.Description), sqldb.Int64(int64(ts.MemSize)), sqldb.Int64(int64(ts.ROMSize))}},
 	}
-	_, err = s.db.Exec("DELETE FROM TargetSystemData WHERE testCardName = ?", sqldb.Text(ts.TestCardName))
-	if err != nil {
-		return fmt.Errorf("dbase: replace target system: %w", err)
-	}
-	_, err = s.db.Exec(
-		"INSERT INTO TargetSystemData VALUES (?, ?, ?, ?)",
-		sqldb.Text(ts.TestCardName), sqldb.Text(ts.Description),
-		sqldb.Int64(int64(ts.MemSize)), sqldb.Int64(int64(ts.ROMSize)),
-	)
-	if err != nil {
-		return fmt.Errorf("dbase: put target system: %w", err)
+	batch = appendInserts(batch, "FaultLocation", 6, locs, func(args []sqldb.Value, l LocationRow) []sqldb.Value {
+		return append(args,
+			sqldb.Text(l.TestCardName), sqldb.Text(l.LocationName),
+			sqldb.Text(l.ChainName), sqldb.Int64(int64(l.FirstBit)),
+			sqldb.Int64(int64(l.Width)), sqldb.Bool(l.Writable))
+	}, nil)
+	if err := s.db.ExecBatch(batch); err != nil {
+		return fmt.Errorf("dbase: put target system %s with %d fault locations: %w", ts.TestCardName, len(locs), err)
 	}
 	return nil
 }
@@ -348,16 +367,6 @@ func (s *Store) TargetSystems() ([]string, error) {
 		out = append(out, r[0].Text)
 	}
 	return out, nil
-}
-
-// PutFaultLocations inserts the location list of a target.
-func (s *Store) PutFaultLocations(locs []LocationRow) error {
-	return insertChunked(s, "FaultLocation", 6, locs, func(args []sqldb.Value, l LocationRow) []sqldb.Value {
-		return append(args,
-			sqldb.Text(l.TestCardName), sqldb.Text(l.LocationName),
-			sqldb.Text(l.ChainName), sqldb.Int64(int64(l.FirstBit)),
-			sqldb.Int64(int64(l.Width)), sqldb.Bool(l.Writable))
-	}, nil, nil)
 }
 
 // FaultLocations lists the fault locations of a target in name order.
@@ -409,8 +418,16 @@ type CampaignRow struct {
 // PutCampaign inserts a campaign definition.
 func (s *Store) PutCampaign(c CampaignRow) error {
 	defer s.timeOp("PutCampaign")(1)
-	_, err := s.db.Exec(
-		"INSERT INTO CampaignData VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+	st := campaignInsert(c)
+	if _, err := s.db.Exec(st.SQL, st.Args...); err != nil {
+		return fmt.Errorf("dbase: put campaign %s: %w", c.CampaignName, err)
+	}
+	return nil
+}
+
+// campaignInsert is the INSERT of one CampaignData row.
+func campaignInsert(c CampaignRow) sqldb.Stmt {
+	return sqldb.Stmt{SQL: "INSERT INTO CampaignData VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", Args: []sqldb.Value{
 		sqldb.Text(c.CampaignName), sqldb.Text(c.TestCardName),
 		sqldb.Text(c.Workload), sqldb.Text(c.Technique),
 		sqldb.Text(c.FaultModel), sqldb.Text(c.LocationFilter),
@@ -419,11 +436,7 @@ func (s *Store) PutCampaign(c CampaignRow) error {
 		sqldb.Int64(int64(c.InjectMaxTime)), sqldb.Int64(int64(c.MaxCycles)),
 		sqldb.Int64(int64(c.MaxIterations)), sqldb.Bool(c.DetailMode),
 		sqldb.Text(c.EnvSimulator), sqldb.Text(c.Notes),
-	)
-	if err != nil {
-		return fmt.Errorf("dbase: put campaign %s: %w", c.CampaignName, err)
-	}
-	return nil
+	}}
 }
 
 // GetCampaign fetches a campaign definition.
@@ -533,17 +546,18 @@ type ExperimentRow struct {
 	Mechanism         string
 	Cycles            uint64
 	Iterations        uint64
-	// StateVector is the encoded state vector. On a row read from a Store it
-	// is the store's own immutable copy, shared rather than copied, so
-	// classification reads every row's bytes in place: callers must not
-	// modify it.
+	// StateVector is the encoded state vector. A store shares these bytes
+	// rather than copying them, in both directions: a row put into a Store
+	// keeps the caller's slice, and a row read from one holds the store's
+	// own, so classification reads every row's bytes in place. Callers must
+	// not modify it.
 	StateVector []byte
 }
 
 // PutExperiment logs one experiment.
 func (s *Store) PutExperiment(e ExperimentRow) error {
 	defer s.timeOp("PutExperiment")(1)
-	return insertChunked(s, "LoggedSystemState", 9, []ExperimentRow{e}, appendExperimentArgs, nil, s.emitRowsDurable)
+	return s.putExperiments([]ExperimentRow{e})
 }
 
 // appendExperimentArgs renders one experiment row in column order.
@@ -562,7 +576,7 @@ func appendExperimentArgs(args []sqldb.Value, e ExperimentRow) []sqldb.Value {
 // emitRowsDurable records that the store acknowledged these experiment rows,
 // one wide event per row naming the WAL commit batch (batch=N) that carried
 // it, so a timeline can tie each logged row to the fsync that made it
-// durable. Rows written by one chunked INSERT share a batch. Stores without a
+// durable. Rows written by one store call share a batch. Stores without a
 // journal (or without a WAL: batch 0, synced false) pay one branch.
 func (s *Store) emitRowsDurable(rows []ExperimentRow) {
 	j := s.rec.Journal()
@@ -586,22 +600,20 @@ func (s *Store) emitRowsDurable(rows []ExperimentRow) {
 // flushes.
 const maxInsertRows = 256
 
-// insertChunked writes rows into table through multi-row INSERTs of at most
-// maxInsertRows rows each, the path of every bulk store write. A chunk is
-// one statement: it applies all-or-nothing and costs one WAL group commit,
-// not one per row. render appends one row's cols values in column order.
-// Per chunk, before (when non-nil) runs ahead of the INSERT and after (when
-// non-nil) once it is acknowledged.
-func insertChunked[T any](s *Store, table string, cols int, rows []T,
-	render func([]sqldb.Value, T) []sqldb.Value, before func([]T) error, after func([]T)) error {
+// appendInserts appends to batch the multi-row INSERTs that write rows into
+// table, at most maxInsertRows rows each, the path of every bulk store
+// write. render appends one row's cols values in column order; lead, when
+// non-nil, gives a statement to run ahead of each chunk's INSERT. The
+// caller executes the batch: whatever its size, it applies all-or-nothing
+// and costs one WAL group commit.
+func appendInserts[T any](batch []sqldb.Stmt, table string, cols int, rows []T,
+	render func([]sqldb.Value, T) []sqldb.Value, lead func([]T) sqldb.Stmt) []sqldb.Stmt {
 	placeholder := "(" + strings.Repeat("?, ", cols-1) + "?)"
 	for len(rows) > 0 {
 		chunk := rows[:min(len(rows), maxInsertRows)]
 		rows = rows[len(chunk):]
-		if before != nil {
-			if err := before(chunk); err != nil {
-				return err
-			}
+		if lead != nil {
+			batch = append(batch, lead(chunk))
 		}
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO " + table + " VALUES ")
@@ -613,26 +625,60 @@ func insertChunked[T any](s *Store, table string, cols int, rows []T,
 			sb.WriteString(placeholder)
 			args = render(args, r)
 		}
-		if _, err := s.db.Exec(sb.String(), args...); err != nil {
-			return fmt.Errorf("dbase: put %d %s rows: %w", len(chunk), table, err)
-		}
-		if after != nil {
-			after(chunk)
-		}
+		batch = append(batch, sqldb.Stmt{SQL: sb.String(), Args: args})
+	}
+	return batch
+}
+
+// insertChunked writes rows into table as one batch of appendInserts.
+func insertChunked[T any](s *Store, table string, cols int, rows []T,
+	render func([]sqldb.Value, T) []sqldb.Value, lead func([]T) sqldb.Stmt) error {
+	var one [1]sqldb.Stmt // most calls are one chunk without a lead
+	if err := s.db.ExecBatch(appendInserts(one[:0], table, cols, rows, render, lead)); err != nil {
+		return fmt.Errorf("dbase: put %d %s rows: %w", len(rows), table, err)
 	}
 	return nil
 }
 
-// PutExperiments logs a batch of experiments through insertChunked,
-// amortising statement parsing, per-row constraint checks and WAL commits —
-// the logging stage of parallel campaign execution funnels worker results
-// through this.
+// PutExperiments logs a batch of experiments in one store write, amortising
+// statement parsing, per-row constraint checks and WAL commits — the logging
+// stage of parallel campaign execution funnels worker results through this.
+// The store keeps each row's StateVector bytes as they are: callers must not
+// modify a state vector after putting it.
 func (s *Store) PutExperiments(rows []ExperimentRow) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	defer s.timeOp("PutExperiments")(len(rows))
-	return insertChunked(s, "LoggedSystemState", 9, rows, appendExperimentArgs, nil, s.emitRowsDurable)
+	return s.putExperiments(rows)
+}
+
+func (s *Store) putExperiments(rows []ExperimentRow) error {
+	if err := insertChunked(s, "LoggedSystemState", 9, rows, appendExperimentArgs, nil); err != nil {
+		return err
+	}
+	s.emitRowsDurable(rows)
+	return nil
+}
+
+// PutRun writes what one campaign run added as one store write: the
+// campaign row when c is non-nil, the experiment rows and the run-metrics
+// rows. A crash keeps all of them or none. The service merges each
+// campaign's scratch store into its tenant store through this; the state
+// vector contract of PutExperiments applies.
+func (s *Store) PutRun(c *CampaignRow, rows []ExperimentRow, runs []RunMetricsRow) error {
+	defer s.timeOp("PutRun")(len(rows) + len(runs))
+	var batch []sqldb.Stmt
+	if c != nil {
+		batch = append(batch, campaignInsert(*c))
+	}
+	batch = appendInserts(batch, "LoggedSystemState", 9, rows, appendExperimentArgs, nil)
+	batch = appendInserts(batch, "CampaignRunMetrics", runMetricsCols, runs, appendRunMetricsArgs, nil)
+	if err := s.db.ExecBatch(batch); err != nil {
+		return fmt.Errorf("dbase: put run of %d experiments and %d run-metrics rows: %w", len(rows), len(runs), err)
+	}
+	s.emitRowsDurable(rows)
+	return nil
 }
 
 // ExperimentNames returns the name of every logged experiment of a campaign
@@ -715,26 +761,23 @@ type AnalysisRow struct {
 	Mechanism      string
 }
 
-// PutAnalysis stores classification rows, replacing earlier results for the
-// same experiments: each chunk first deletes its experiments' old rows in one
-// statement (a no-op, and no WAL record, on a first classification).
+// PutAnalysis stores classification rows in one store write, replacing
+// earlier results for the same experiments: each chunk first deletes its
+// experiments' old rows in one statement (a no-op, and no WAL record, on a
+// first classification).
 func (s *Store) PutAnalysis(rows []AnalysisRow) error {
 	defer s.timeOp("PutAnalysis")(len(rows))
-	replace := func(chunk []AnalysisRow) error {
+	replace := func(chunk []AnalysisRow) sqldb.Stmt {
 		names := make([]sqldb.Value, len(chunk))
 		for i, r := range chunk {
 			names[i] = sqldb.Text(r.ExperimentName)
 		}
-		q := "DELETE FROM AnalysisResult WHERE experimentName IN (?" + strings.Repeat(", ?", len(chunk)-1) + ")"
-		if _, err := s.db.Exec(q, names...); err != nil {
-			return fmt.Errorf("dbase: clear analysis: %w", err)
-		}
-		return nil
+		return sqldb.Stmt{SQL: "DELETE FROM AnalysisResult WHERE experimentName IN (?" + strings.Repeat(", ?", len(chunk)-1) + ")", Args: names}
 	}
 	return insertChunked(s, "AnalysisResult", 4, rows, func(args []sqldb.Value, r AnalysisRow) []sqldb.Value {
 		return append(args, sqldb.Text(r.ExperimentName), sqldb.Text(r.CampaignName),
 			sqldb.Text(r.Outcome), sqldb.Text(r.Mechanism))
-	}, replace, nil)
+	}, replace)
 }
 
 // AnalysisResults returns the classification rows of a campaign.

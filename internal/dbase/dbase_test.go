@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"goofi/internal/obsv"
+	"goofi/internal/sqldb"
 )
 
 func newStore(t *testing.T) *Store {
@@ -90,14 +91,11 @@ func TestTargetSystemRoundTrip(t *testing.T) {
 
 func TestFaultLocations(t *testing.T) {
 	s := newStore(t)
-	if err := s.PutTargetSystem(sampleTarget()); err != nil {
-		t.Fatal(err)
-	}
 	locs := []LocationRow{
 		{TestCardName: "thor-rd", LocationName: "internal.core/R0", ChainName: "internal.core", FirstBit: 0, Width: 32, Writable: true},
 		{TestCardName: "thor-rd", LocationName: "internal.debug/cycles", ChainName: "internal.debug", FirstBit: 99, Width: 64, Writable: false},
 	}
-	if err := s.PutFaultLocations(locs); err != nil {
+	if err := s.PutTargetSystem(sampleTarget(), locs...); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.FaultLocations("thor-rd")
@@ -110,10 +108,20 @@ func TestFaultLocations(t *testing.T) {
 	if got[1].Writable {
 		t.Fatalf("got[1] = %+v", got[1])
 	}
-	// FK: locations of unknown targets are rejected.
-	err = s.PutFaultLocations([]LocationRow{{TestCardName: "ghost", LocationName: "x", ChainName: "c", Width: 1}})
-	if err == nil {
-		t.Fatal("orphan location should fail")
+	// FK: a location of an unknown target is rejected, and the failing
+	// re-registration is undone whole: the target keeps its row and the
+	// inventory its DELETE had already cleared.
+	desc := sampleTarget()
+	desc.Description = "replaced"
+	err = s.PutTargetSystem(desc, LocationRow{TestCardName: "ghost", LocationName: "x", ChainName: "c", Width: 1})
+	if !errors.Is(err, sqldb.ErrForeignKey) {
+		t.Fatalf("orphan location: err = %v, want a foreign-key violation", err)
+	}
+	if ts, err := s.GetTargetSystem("thor-rd"); err != nil || ts != sampleTarget() {
+		t.Fatalf("failed re-registration left target %+v, %v", ts, err)
+	}
+	if got, err := s.FaultLocations("thor-rd"); err != nil || len(got) != 2 {
+		t.Fatalf("failed re-registration left %d locations, %v; want 2", len(got), err)
 	}
 }
 

@@ -90,15 +90,15 @@ func runMetricsFromRow(v []sqldb.Value) RunMetricsRow {
 	return r
 }
 
-// PutRunMetrics stores a batch of run-metrics rows in multi-row INSERTs of
-// at most maxInsertRows rows each. The campaign runner flushes its buffered
+// PutRunMetrics stores a batch of run-metrics rows in one store write of
+// multi-row INSERTs. The campaign runner flushes its buffered
 // interval snapshots plus the final row through this at the end of a run.
 func (s *Store) PutRunMetrics(rows []RunMetricsRow) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	defer s.timeOp("PutRunMetrics")(len(rows))
-	return insertChunked(s, "CampaignRunMetrics", runMetricsCols, rows, appendRunMetricsArgs, nil, nil)
+	return insertChunked(s, "CampaignRunMetrics", runMetricsCols, rows, appendRunMetricsArgs, nil)
 }
 
 // NextRunID returns the run number the campaign's next run should record

@@ -191,9 +191,10 @@ func TestWALAppendRetriesTransientFault(t *testing.T) {
 }
 
 // TestPutTargetSystemReportsFaultLocationError: re-registering a target
-// whose FaultLocation delete hits a dead disk fails with that delete's
-// error, not with whatever the following TargetSystemData delete reports.
-// The fault op is calibrated by a dry run, as above.
+// over a dead disk fails with the injected storage fault of its one WAL
+// commit, which carries the FaultLocation delete, and not with a
+// foreign-key error from a later statement. The fault op is calibrated by a
+// dry run, as above.
 func TestPutTargetSystemReportsFaultLocationError(t *testing.T) {
 	setup := func(t *testing.T, fsys *vfs.Faulty) *Store {
 		t.Helper()
@@ -201,11 +202,8 @@ func TestPutTargetSystemReportsFaultLocationError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutTargetSystem(sampleTarget()); err != nil {
-			t.Fatal(err)
-		}
-		err = s.PutFaultLocations([]LocationRow{{TestCardName: sampleTarget().TestCardName,
-			LocationName: "internal.core/R0", ChainName: "internal.core", Width: 32, Writable: true}})
+		err = s.PutTargetSystem(sampleTarget(), LocationRow{TestCardName: sampleTarget().TestCardName,
+			LocationName: "internal.core/R0", ChainName: "internal.core", Width: 32, Writable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +227,8 @@ func TestPutTargetSystemReportsFaultLocationError(t *testing.T) {
 		t.Fatal("re-registration over a dead disk succeeded")
 	case !vfs.IsInjected(err) || errors.Is(err, sqldb.ErrForeignKey):
 		t.Fatalf("err = %v, want the injected storage fault", err)
-	case !strings.Contains(err.Error(), "fault locations"):
-		t.Fatalf("err = %v, want it to name the FaultLocation delete", err)
+	case !strings.Contains(err.Error(), "put target system"):
+		t.Fatalf("err = %v, want it to name the target system write", err)
 	}
 }
 

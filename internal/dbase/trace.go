@@ -78,7 +78,7 @@ func (s *Store) NextTraceRunID(campaign string) (int64, error) {
 }
 
 // PutTraceEvents persists a batch of wide events under (campaign, runID)
-// through multi-row INSERTs of at most maxInsertRows rows each. Events keep
+// in one store write of multi-row INSERTs. Events keep
 // the Seq the journal assigned; an event's own Campaign field is ignored in
 // favour of the argument so merged journals land under one name.
 func (s *Store) PutTraceEvents(campaign string, runID int64, events []obsv.WideEvent) error {
@@ -89,7 +89,7 @@ func (s *Store) PutTraceEvents(campaign string, runID int64, events []obsv.WideE
 	return insertChunked(s, "ExperimentTraceEvents", traceEventCols, events,
 		func(args []sqldb.Value, ev obsv.WideEvent) []sqldb.Value {
 			return appendTraceEventArgs(args, campaign, runID, ev)
-		}, nil, nil)
+		}, nil)
 }
 
 // PutTraceJournal drains a live journal into the store under a fresh runId

@@ -644,11 +644,11 @@ func seedScratch(tenant *dbase.Store, campaign, targetName string) (*dbase.Store
 }
 
 // merge copies what the run added to the scratch store into the tenant
-// store: the campaign row when the tenant lacks it, then the new experiment
-// rows in one PutExperiments and the new run-metrics rows in one
-// PutRunMetrics. New rows are found by name and run id, never by position:
-// the scratch store lists rows in name order, and resumed rows interleave
-// with new ones.
+// store in one PutRun: the campaign row when the tenant lacks it, the new
+// experiment rows and the new run-metrics rows, so a crash keeps all of them
+// or none. New rows are found by name and run id, never by position: the
+// scratch store lists rows in name order, and resumed rows interleave with
+// new ones.
 func (seeded seedState) merge(tenant, scratch *dbase.Store) error {
 	rows, err := scratch.Experiments(seeded.campaign)
 	if err != nil {
@@ -663,19 +663,15 @@ func (seeded seedState) merge(tenant, scratch *dbase.Store) error {
 	if len(fresh) == 0 && len(newRuns) == 0 {
 		return nil
 	}
+	var camp *dbase.CampaignRow
 	if !seeded.hasCampaign {
-		camp, err := scratch.GetCampaign(seeded.campaign)
+		c, err := scratch.GetCampaign(seeded.campaign)
 		if err != nil {
 			return err
 		}
-		if err := tenant.PutCampaign(camp); err != nil {
-			return err
-		}
+		camp = &c
 	}
-	if err := tenant.PutExperiments(fresh); err != nil {
-		return err
-	}
-	return tenant.PutRunMetrics(newRuns)
+	return tenant.PutRun(camp, fresh, newRuns)
 }
 
 // Drain shuts the service down gracefully: new submissions are rejected,

@@ -128,15 +128,148 @@ func (db *DB) exec(query string, args []Value, logWAL bool) (Result, error) {
 	}
 	db.mu.Unlock()
 	if ack != nil {
-		a := <-ack
-		if a.err != nil {
-			return res, a.err
+		if werr := db.awaitWAL(ack); werr != nil {
+			return res, werr
 		}
-		db.lastWALBatch.Store(a.batch)
-		db.lastWALSynced.Store(a.synced)
-		db.maybeAutoCheckpoint()
 	}
 	return res, err
+}
+
+// Stmt is one statement of a batch: SQL text and the parameters its ?
+// placeholders bind to.
+type Stmt struct {
+	SQL  string
+	Args []Value
+}
+
+// ExecBatch executes stmts in order as one atomic store write. Only CREATE
+// TABLE, INSERT and DELETE can be batched. The batch is all-or-nothing in
+// memory: a failing statement undoes the ones before it, and nothing is
+// logged. On a WAL-backed database the statements that changed state are
+// then appended as one unit, one group commit and, under the default strict
+// policy, one fsync, and ExecBatch returns once that unit is acknowledged.
+// Replay applies a logged batch only when every one of its frames is intact,
+// so a crash never recovers part of it.
+func (db *DB) ExecBatch(stmts []Stmt) error {
+	var buf [4]statement // most batches are short: parse into the stack
+	parsed := buf[:0]
+	for _, s := range stmts {
+		st, err := db.stmts.parse(s.SQL)
+		if err != nil {
+			return fmt.Errorf("exec %q: %w", abbreviate(s.SQL), err)
+		}
+		switch st.(type) {
+		case *createTableStmt, *insertStmt, *deleteStmt:
+		default:
+			return fmt.Errorf("exec %q: only CREATE TABLE, INSERT and DELETE can be batched", abbreviate(s.SQL))
+		}
+		parsed = append(parsed, st)
+	}
+	db.mu.Lock()
+	var (
+		undo  []batchUndo
+		quiet []bool // quiet[i]: stmts[i] changed nothing; nil while none did
+	)
+	for i, st := range parsed {
+		// The last statement needs no undo: failing, it undoes itself.
+		last := i == len(parsed)-1
+		var u batchUndo
+		if !last {
+			u = db.undoFor(st)
+		}
+		_, mutated, err := db.execStmtLocked(st, stmts[i].Args, stmts[i].SQL)
+		if err != nil {
+			db.revert(undo)
+			db.mu.Unlock()
+			return fmt.Errorf("exec %q: %w", abbreviate(stmts[i].SQL), err)
+		}
+		switch {
+		case !mutated:
+			if quiet == nil {
+				quiet = make([]bool, len(stmts))
+			}
+			quiet[i] = true
+		case !last:
+			undo = append(undo, u)
+		}
+	}
+	logged := stmts
+	if quiet != nil {
+		logged = nil
+		for i, q := range quiet {
+			if !q {
+				logged = append(logged, stmts[i])
+			}
+		}
+	}
+	var ack chan walAck
+	if len(logged) > 0 && db.wal != nil {
+		ack = db.wal.appendBatch(logged)
+	}
+	db.mu.Unlock()
+	if ack != nil {
+		return db.awaitWAL(ack)
+	}
+	return nil
+}
+
+// batchUndo reverts one statement of a failing batch. Each statement kind
+// has its own step: a CREATE TABLE drops the new table, an INSERT truncates
+// the rows it appended, and a DELETE, which replaces a table's rows slice
+// and primary-key index rather than mutating them, restores the old ones.
+type batchUndo struct {
+	t       *table
+	created string         // CREATE TABLE: lower-cased name of the new table
+	deleted bool           // DELETE: rows and pkIndex hold the table's old state
+	rows    [][]Value      // DELETE
+	pkIndex map[string]int // DELETE
+	n       int            // INSERT: the table's row count before it
+}
+
+// undoFor records what reverting st will need, before st runs.
+func (db *DB) undoFor(st statement) batchUndo {
+	switch s := st.(type) {
+	case *createTableStmt:
+		return batchUndo{created: strings.ToLower(s.Name)}
+	case *insertStmt:
+		if t := db.tables[strings.ToLower(s.Table)]; t != nil {
+			return batchUndo{t: t, n: len(t.rows)}
+		}
+	case *deleteStmt:
+		if t := db.tables[strings.ToLower(s.Table)]; t != nil {
+			return batchUndo{t: t, deleted: true, rows: t.rows, pkIndex: t.pkIndex}
+		}
+	}
+	return batchUndo{}
+}
+
+// revert undoes the executed statements of a batch, last first, so each
+// step sees the state its statement left.
+func (db *DB) revert(undo []batchUndo) {
+	for i := len(undo) - 1; i >= 0; i-- {
+		switch u := undo[i]; {
+		case u.created != "":
+			delete(db.tables, u.created)
+			db.order = db.order[:len(db.order)-1]
+		case u.deleted:
+			u.t.rows, u.t.pkIndex = u.rows, u.pkIndex
+		default:
+			u.t.truncateRows(u.n)
+		}
+	}
+}
+
+// awaitWAL waits for the group commit that carries a logged statement or
+// batch and records which batch acknowledged it.
+func (db *DB) awaitWAL(ack chan walAck) error {
+	a := <-ack
+	if a.err != nil {
+		return a.err
+	}
+	db.lastWALBatch.Store(a.batch)
+	db.lastWALSynced.Store(a.synced)
+	db.maybeAutoCheckpoint()
+	return nil
 }
 
 // LastWALBatch reports the WAL group-commit batch that acknowledged this DB's

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -36,6 +37,7 @@ type stmtCache struct {
 	size   int                      // sum of the entries' costs
 	byText map[string]*list.Element // of *stmtEntry
 	lru    list.List                // most recently used at the front
+	misses atomic.Int64             // texts parsed because no entry held them
 }
 
 type stmtEntry struct {
@@ -48,10 +50,11 @@ func newStmtCache(limit int) *stmtCache {
 	return &stmtCache{limit: limit, byText: make(map[string]*list.Element)}
 }
 
-// parse returns the AST of text, parsing it on a miss. Only DML texts with a
-// ? placeholder are kept: those are the templates a program reissues with
-// fresh arguments, while literal-only texts (dump images, scripts) are
-// mostly one-offs that would only evict them.
+// parse returns the AST of text, parsing it on a miss. Kept are texts with
+// a ? placeholder, the templates a program reissues with fresh arguments,
+// and CREATE TABLE texts, which every store open reissues for its schema.
+// Other literal-only texts (the rows of dump images, scripts) are mostly
+// one-offs that would only evict them.
 func (c *stmtCache) parse(text string) (statement, error) {
 	c.mu.Lock()
 	if el, ok := c.byText[text]; ok {
@@ -61,9 +64,13 @@ func (c *stmtCache) parse(text string) (statement, error) {
 		return st, nil
 	}
 	c.mu.Unlock()
+	c.misses.Add(1)
 	st, err := parse(text)
-	if err != nil || !strings.Contains(text, "?") {
+	if err != nil {
 		return st, err
+	}
+	if _, ddl := st.(*createTableStmt); !ddl && !strings.Contains(text, "?") {
+		return st, nil
 	}
 	cost, ok := stmtCost(text, st)
 	if !ok || cost > c.limit {
@@ -95,10 +102,22 @@ const (
 // AST node and slice backing array (by capacity), and the entry's own
 // bookkeeping. Strings inside the tree are counted even where they alias the
 // text, so the estimate errs high. ok is false for statement kinds the cache
-// does not hold: DDL runs once per table.
+// does not hold: DROP TABLE runs once per table.
 func stmtCost(text string, st statement) (cost int, ok bool) {
 	n := stmtEntryCost + len(text)
 	switch s := st.(type) {
+	case *createTableStmt:
+		n += int(unsafe.Sizeof(*s)) + len(s.Name) + cap(s.Columns)*int(unsafe.Sizeof(columnDef{}))
+		for _, c := range s.Columns {
+			n += len(c.Name)
+			if c.Default != nil {
+				n += int(unsafe.Sizeof(*c.Default)) + len(c.Default.Text) + cap(c.Default.Blob)
+			}
+		}
+		n += stringsBytes(s.PrimaryKey) + cap(s.ForeignKeys)*int(unsafe.Sizeof(foreignKey{}))
+		for _, fk := range s.ForeignKeys {
+			n += stringsBytes(fk.Columns) + len(fk.RefTable) + stringsBytes(fk.RefColumns)
+		}
 	case *insertStmt:
 		n += int(unsafe.Sizeof(*s)) + len(s.Table) + stringsBytes(s.Columns) + cap(s.Rows)*sliceBytes
 		for _, row := range s.Rows {

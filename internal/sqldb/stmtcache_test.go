@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -119,7 +120,8 @@ func TestStatementCacheMatchesFreshParse(t *testing.T) {
 }
 
 // TestStatementCacheKeepsOnlyTemplates pins what the cache holds: DML texts
-// with a placeholder, not literal-only texts, DDL or syntax errors.
+// with a placeholder and CREATE TABLE texts, not literal-only DML or syntax
+// errors.
 func TestStatementCacheKeepsOnlyTemplates(t *testing.T) {
 	cached, _, c := cachedPair(t, stmtCacheBytes)
 	for _, q := range []string{
@@ -133,12 +135,58 @@ func TestStatementCacheKeepsOnlyTemplates(t *testing.T) {
 	if _, err := cached.Query("SELECT descr FROM camp WHERE name = ?", Text("a")); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.byText) != 1 {
-		keys := make([]string, 0, len(c.byText))
-		for k := range c.byText {
-			keys = append(keys, k)
+	want := map[string]bool{"SELECT descr FROM camp WHERE name = ?": true, "CREATE TABLE t (a TEXT DEFAULT '?')": true}
+	schema, err := SplitStatements(cacheSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range schema {
+		want[q] = true
+	}
+	got := make(map[string]bool, len(c.byText))
+	for k := range c.byText {
+		got[k] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache holds %v, want the parameterised SELECT and the CREATE TABLE texts", got)
+	}
+}
+
+// TestSchemaParsedOncePerProcess: a store installs its schema on every
+// open, and the CREATE TABLE texts carry no placeholder. Only the first open
+// in a process parses them; a second open, WAL-backed or not, parses
+// nothing.
+func TestSchemaParsedOncePerProcess(t *testing.T) {
+	c := newStmtCache(stmtCacheBytes)
+	schema, err := SplitStatements(cacheSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Stmt, len(schema))
+	for i, q := range schema {
+		batch[i].SQL = q
+	}
+	dir := t.TempDir()
+	for open := 0; open < 3; open++ {
+		var db *DB
+		if open == 2 {
+			db, err = OpenWithWAL(filepath.Join(dir, "s.db"), WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			db = New()
 		}
-		t.Fatalf("cache holds %q, want only the parameterised SELECT", keys)
+		db.stmts = c
+		before := c.misses.Load()
+		if err := db.ExecBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		parsed := c.misses.Load() - before
+		db.Close()
+		if want := map[bool]int64{true: int64(len(schema)), false: 0}[open == 0]; parsed != want {
+			t.Fatalf("open %d parsed %d schema statements, want %d", open+1, parsed, want)
+		}
 	}
 }
 

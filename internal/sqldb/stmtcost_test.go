@@ -24,6 +24,13 @@ func TestStatementCostCoversRetainedHeap(t *testing.T) {
 		"SELECT mechanism, COUNT(*) FROM AnalysisResult WHERE campaignName = ? AND outcome = 'detected' GROUP BY mechanism",
 		"DELETE FROM AnalysisResult WHERE experimentName IN (?" + strings.Repeat(", ?", 63) + ")",
 		"UPDATE exp SET cycles = cycles + ?, parent = NULL WHERE name = ? AND run = ?",
+		`CREATE TABLE IF NOT EXISTS CampaignData (campaignName TEXT PRIMARY KEY, testCardName TEXT NOT NULL,
+			seed INTEGER NOT NULL, detailMode INTEGER NOT NULL DEFAULT 0, notes TEXT DEFAULT 'none',
+			FOREIGN KEY (testCardName) REFERENCES TargetSystemData (testCardName))`,
+		`CREATE TABLE IF NOT EXISTS CampaignRunMetrics (campaignName TEXT NOT NULL, runId INTEGER NOT NULL,
+			seq INTEGER NOT NULL, isFinal INTEGER NOT NULL, elapsedNs INTEGER NOT NULL, done INTEGER NOT NULL,
+			PRIMARY KEY (campaignName, runId, seq),
+			FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName))`,
 	} {
 		// Each copy holds its own text, allocated before the measurement
 		// and added back below. The smallest of three readings discards

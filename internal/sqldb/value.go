@@ -75,13 +75,10 @@ func Float64(v float64) Value { return Value{Kind: KindReal, Real: v} }
 // Text returns a TEXT value.
 func Text(v string) Value { return Value{Kind: KindText, Text: v} }
 
-// Blob returns a BLOB value. The slice is copied so later caller mutations
-// cannot corrupt stored rows.
-func Blob(v []byte) Value {
-	b := make([]byte, len(v))
-	copy(b, v)
-	return Value{Kind: KindBlob, Blob: b}
-}
+// Blob returns a BLOB value that shares v rather than copying it: a value
+// bound to an INSERT becomes the stored row's bytes, so the caller must not
+// modify v afterwards.
+func Blob(v []byte) Value { return Value{Kind: KindBlob, Blob: v} }
 
 // Bool returns the engine's boolean encoding (INTEGER 0 or 1).
 func Bool(v bool) Value {

@@ -28,12 +28,14 @@ func TestValueConstructorsAndKinds(t *testing.T) {
 	}
 }
 
-func TestBlobCopiesInput(t *testing.T) {
+// TestBlobSharesInput pins Blob's ownership contract: the value holds the
+// caller's bytes, not a copy, so an inserted state vector is stored without
+// being copied again.
+func TestBlobSharesInput(t *testing.T) {
 	src := []byte{1, 2, 3}
 	v := Blob(src)
-	src[0] = 99
-	if v.Blob[0] != 1 {
-		t.Fatalf("Blob aliased caller slice: %v", v.Blob)
+	if len(v.Blob) != len(src) || &v.Blob[0] != &src[0] {
+		t.Fatalf("Blob copied its input: %p vs %p", v.Blob, src)
 	}
 }
 

@@ -18,10 +18,13 @@
 // two steps leaves a stale WAL that the next open discards, never a record
 // applied twice. Replay stops cleanly at a torn tail (short frame or CRC
 // mismatch), which by the ack protocol can only hold records that were never
-// acknowledged.
+// acknowledged. An ExecBatch is logged as a header frame carrying its
+// statement count followed by that many record frames, all in one write;
+// replay applies it only when every one of those frames is intact.
 package sqldb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +33,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +76,11 @@ const (
 	// maxWALPayload rejects absurd frame lengths during replay so a
 	// corrupted length field cannot drive a giant allocation.
 	maxWALPayload = 64 << 20
+	// walBatchMark opens a batch header payload: mark[4] count[4]. In a
+	// statement record the same field is the SQL length, which can never
+	// reach it, so the two payload kinds cannot be confused.
+	walBatchMark       = math.MaxUint32
+	walBatchHeaderSize = 8
 )
 
 // walCommitTID is the virtual thread id the committer's wal-append phase
@@ -111,9 +120,12 @@ type walAck struct {
 	err    error
 }
 
-// walWaiter is one committer blocked in a ticket until its record's batch is
-// acknowledged.
-type walWaiter struct{ ch chan walAck }
+// walWaiter is one committer blocked in a ticket until its records' commit
+// batch is acknowledged: one statement, or every statement of an ExecBatch.
+type walWaiter struct {
+	ch      chan walAck
+	records int
+}
 
 // walReset is a checkpoint's request to discard the log and start a new
 // generation. It is processed by the committer goroutine, which owns the file.
@@ -182,6 +194,32 @@ func appendWALPayload(dst []byte, sql string, args []Value) []byte {
 	return dst
 }
 
+// walPayloadSize is the length appendWALPayload gives a record.
+func walPayloadSize(sql string, args []Value) int {
+	n := 4 + len(sql) + 4
+	for _, v := range args {
+		n++
+		switch v.Kind {
+		case KindInt, KindReal:
+			n += 8
+		case KindText:
+			n += 4 + len(v.Text)
+		case KindBlob:
+			n += 4 + len(v.Blob)
+		}
+	}
+	return n
+}
+
+// walBatchCount reports whether payload is a batch header and, if so, how
+// many statement frames the batch holds.
+func walBatchCount(payload []byte) (count uint32, ok bool) {
+	if len(payload) != walBatchHeaderSize || binary.LittleEndian.Uint32(payload) != walBatchMark {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(payload[4:]), true
+}
+
 // decodeWALPayload is the inverse of appendWALPayload. Every read is
 // bounds-checked: arbitrary bytes decode to an error, never a panic.
 func decodeWALPayload(p []byte) (string, []Value, error) {
@@ -209,7 +247,8 @@ func decodeWALPayload(p []byte) (string, []Value, error) {
 		case KindText:
 			args = append(args, Text(string(cur.bytes(int64(cur.u32())))))
 		case KindBlob:
-			args = append(args, Blob(cur.bytes(int64(cur.u32()))))
+			// p is replay's reused read buffer: the row must own a copy.
+			args = append(args, Blob(bytes.Clone(cur.bytes(int64(cur.u32())))))
 		default:
 			return "", nil, fmt.Errorf("wal record: unknown value kind %d", kind)
 		}
@@ -279,6 +318,30 @@ func appendWALFrame(dst []byte, sql string, args []Value) []byte {
 	return dst
 }
 
+// appendWALBatch frames a batch of statements into dst: a header frame
+// carrying the statement count, then one ordinary record frame per
+// statement. walBatchSize gives the length it adds.
+func appendWALBatch(dst []byte, stmts []Stmt) []byte {
+	head := len(dst)
+	dst = binary.LittleEndian.AppendUint32(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), walBatchMark)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(stmts)))
+	binary.LittleEndian.PutUint32(dst[head:], walBatchHeaderSize)
+	binary.LittleEndian.PutUint32(dst[head+4:], crc32.ChecksumIEEE(dst[head+walFrameSize:]))
+	for _, st := range stmts {
+		dst = appendWALFrame(dst, st.SQL, st.Args)
+	}
+	return dst
+}
+
+// walBatchSize is the framed length of a batch.
+func walBatchSize(stmts []Stmt) int {
+	n := walFrameSize + walBatchHeaderSize
+	for _, st := range stmts {
+		n += walFrameSize + walPayloadSize(st.SQL, st.Args)
+	}
+	return n
+}
+
 func walHeader(gen uint64) []byte {
 	h := make([]byte, walHeaderSize)
 	copy(h, walMagic)
@@ -290,17 +353,24 @@ func walHeader(gen uint64) []byte {
 // --- open / replay ---
 
 // replayWALFile reads frames from r and applies each decoded statement,
-// stopping cleanly at the first torn or corrupt frame. It returns the file
-// offset just past the last valid frame and the number of records applied.
-// Apply errors and real read errors are reported — only EOF-shaped damage is
-// the expected tail of a crash and simply where replay ends. A transient
-// device error must not masquerade as a clean tail, or recovery would
-// silently truncate acknowledged records.
+// stopping cleanly at the first torn or corrupt frame. A batch (a header
+// frame and its statement frames) is applied only once all of its frames
+// have been read intact, so a batch cut short by the tail is dropped whole.
+// It returns the file offset just past the last applied frame and the
+// number of records applied. Apply errors and real read errors are reported
+// — only EOF-shaped damage is the expected tail of a crash and simply where
+// replay ends. A transient device error must not masquerade as a clean tail,
+// or recovery would silently truncate acknowledged records.
 func replayWALFile(r io.Reader, apply func(sql string, args []Value) error) (int64, int64, error) {
 	br := &countingReader{r: r}
 	valid := int64(walHeaderSize)
-	var n int64
-	var frame [walFrameSize]byte
+	var (
+		n       int64
+		payload []byte // reused: decodeWALPayload copies what it keeps
+		frame   [walFrameSize]byte
+		batch   []walRecord // the records of the open batch, or the one record
+		want    uint32      // records the open batch still lacks
+	)
 	for {
 		if _, err := io.ReadFull(br, frame[:]); err != nil {
 			if !isEOFShaped(err) {
@@ -313,7 +383,10 @@ func replayWALFile(r io.Reader, apply func(sql string, args []Value) error) (int
 		if length > maxWALPayload {
 			return valid, n, nil // corrupt length: treat as tail damage
 		}
-		payload := make([]byte, length)
+		if cap(payload) < int(length) {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if !isEOFShaped(err) {
 				return valid, n, fmt.Errorf("wal replay: read payload: %w", err)
@@ -323,16 +396,39 @@ func replayWALFile(r io.Reader, apply func(sql string, args []Value) error) (int
 		if crc32.ChecksumIEEE(payload) != crc {
 			return valid, n, nil // corrupt payload
 		}
+		if count, ok := walBatchCount(payload); ok {
+			if want > 0 || count == 0 {
+				return valid, n, nil // a header inside a batch, or an empty one: garbage
+			}
+			want = count
+			continue
+		}
 		sql, args, err := decodeWALPayload(payload)
 		if err != nil {
 			return valid, n, nil // framed garbage: stop before applying it
 		}
-		if err := apply(sql, args); err != nil {
-			return valid, n, fmt.Errorf("wal replay: record %d: %w", n+1, err)
+		batch = append(batch, walRecord{sql: sql, args: args})
+		if want > 1 {
+			want--
+			continue
 		}
-		n++
+		want = 0
+		for _, rc := range batch {
+			if err := apply(rc.sql, rc.args); err != nil {
+				return valid, n, fmt.Errorf("wal replay: record %d: %w", n+1, err)
+			}
+			n++
+		}
+		clear(batch)
+		batch = batch[:0]
 		valid = int64(walHeaderSize) + br.n
 	}
+}
+
+// walRecord is one decoded statement record.
+type walRecord struct {
+	sql  string
+	args []Value
 }
 
 // isEOFShaped reports whether a read error means "the file ends here" — the
@@ -475,6 +571,25 @@ func openWAL(fsys vfs.FS, path string, gen uint64, opts WALOptions, apply func(s
 // The returned channel delivers exactly one acknowledgement once the record's
 // batch commits per the sync policy.
 func (w *wal) append(sql string, args []Value) chan walAck {
+	return w.enqueue(1, func(dst []byte) []byte { return appendWALFrame(dst, sql, args) })
+}
+
+// appendBatch enqueues stmts as one unit with one acknowledgement, as
+// append does for one record. A single statement is framed as a plain
+// record; more are framed as a batch, straight into the pending buffer at
+// their final size.
+func (w *wal) appendBatch(stmts []Stmt) chan walAck {
+	if len(stmts) == 1 {
+		return w.append(stmts[0].SQL, stmts[0].Args)
+	}
+	return w.enqueue(len(stmts), func(dst []byte) []byte {
+		return appendWALBatch(slices.Grow(dst, walBatchSize(stmts)), stmts)
+	})
+}
+
+// enqueue appends what frame writes to the pending buffer and registers
+// one waiter for the records it framed.
+func (w *wal) enqueue(records int, frame func([]byte) []byte) chan walAck {
 	ch := make(chan walAck, 1)
 	w.mu.Lock()
 	if w.failed != nil {
@@ -484,9 +599,9 @@ func (w *wal) append(sql string, args []Value) chan walAck {
 		return ch
 	}
 	before := len(w.pending)
-	w.pending = appendWALFrame(w.pending, sql, args)
+	w.pending = frame(w.pending)
 	w.size.Add(int64(len(w.pending) - before))
-	w.waiters = append(w.waiters, walWaiter{ch: ch})
+	w.waiters = append(w.waiters, walWaiter{ch: ch, records: records})
 	w.mu.Unlock()
 	w.wake()
 	return ch
@@ -664,10 +779,14 @@ func (w *wal) commit(final bool) (deferred bool) {
 		}
 	}
 	sp.End()
+	records := 0
+	for _, wt := range waiters {
+		records += wt.records
+	}
 	if err == nil {
-		w.records.Add(int64(len(waiters)))
+		w.records.Add(int64(records))
 		w.bytes.Add(int64(len(buf)))
-		rec.Count("wal.records", int64(len(waiters)))
+		rec.Count("wal.records", int64(records))
 		rec.Count("wal.bytes", int64(len(buf)))
 		rec.Count("wal.commit-batches", 1)
 	} else {
@@ -682,7 +801,7 @@ func (w *wal) commit(final bool) (deferred bool) {
 			TID:    obsv.WALCommitTID,
 			TimeNs: began.UnixNano(),
 			DurNs:  time.Since(began).Nanoseconds(),
-			Detail: fmt.Sprintf("batch=%d records=%d bytes=%d synced=%t err=%t", batch, len(waiters), len(buf), doSync, err != nil),
+			Detail: fmt.Sprintf("batch=%d records=%d bytes=%d synced=%t err=%t", batch, records, len(buf), doSync, err != nil),
 		})
 	}
 	for _, wt := range waiters {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -489,11 +490,17 @@ func TestWALMutationsFailAfterClose(t *testing.T) {
 // FuzzWALRecord fuzzes both directions of the frame codec: arbitrary bytes
 // through replay must stop cleanly (no panic, no apply of a corrupt frame),
 // and a valid encoded record prefixed to the fuzz data must always survive.
+// It also frames a batch of three records, optionally claiming countDelta
+// more statements than it holds, and cuts it short at cut-1 bytes (cut 0
+// keeps it whole): replay applies all of the batch or none of it.
 func FuzzWALRecord(f *testing.F) {
-	f.Add("INSERT INTO t VALUES (?)", int64(1), "txt", []byte{1, 2}, []byte{})
-	f.Add("", int64(-9), "", []byte(nil), []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add("UPDATE x SET a = ?", int64(0), "δ", []byte{0, 0, 0}, []byte("GWAL garbage"))
-	f.Fuzz(func(t *testing.T, sql string, n int64, txt string, blob, tail []byte) {
+	f.Add("INSERT INTO t VALUES (?)", int64(1), "txt", []byte{1, 2}, []byte{}, uint16(0), uint8(0))
+	f.Add("", int64(-9), "", []byte(nil), []byte{0xff, 0xff, 0xff, 0xff}, uint16(0), uint8(0))
+	f.Add("UPDATE x SET a = ?", int64(0), "δ", []byte{0, 0, 0}, []byte("GWAL garbage"), uint16(0), uint8(0))
+	f.Add("INSERT INTO t VALUES (?)", int64(2), "torn header", []byte{3}, []byte{}, uint16(6), uint8(0))
+	f.Add("INSERT INTO t VALUES (?)", int64(3), "torn mid-batch", []byte{4, 5}, []byte{}, uint16(110), uint8(0))
+	f.Add("INSERT INTO t VALUES (?)", int64(4), "count too large", []byte{6}, []byte{}, uint16(0), uint8(2))
+	f.Fuzz(func(t *testing.T, sql string, n int64, txt string, blob, tail []byte, cut uint16, countDelta uint8) {
 		args := []Value{Int64(n), Text(txt), Blob(blob), Null(), Float64(float64(n) / 3)}
 		payload := appendWALPayload(nil, sql, args)
 		gotSQL, gotArgs, err := decodeWALPayload(payload)
@@ -537,6 +544,37 @@ func FuzzWALRecord(f *testing.F) {
 		_, _, err = replayWALFile(bytes.NewReader(tail), func(string, []Value) error { return nil })
 		if err != nil {
 			t.Fatalf("tail-only replay returned error: %v", err)
+		}
+
+		// A lead record, then a batch that may be cut short or claim more
+		// statements than it frames.
+		batch := []Stmt{{sql, args}, {sql, args[:2]}, {sql, nil}}
+		framed := appendWALBatch(make([]byte, 0, walBatchSize(batch)), batch)
+		if len(framed) != walBatchSize(batch) {
+			t.Fatalf("batch framed to %d bytes, sized %d", len(framed), walBatchSize(batch))
+		}
+		if countDelta > 0 {
+			hdr := framed[walFrameSize : walFrameSize+walBatchHeaderSize]
+			binary.LittleEndian.PutUint32(hdr[4:], uint32(len(batch))+uint32(countDelta))
+			binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(hdr))
+		}
+		whole := cut == 0
+		if !whole {
+			framed = framed[:int(cut-1)%len(framed)]
+		}
+		lead := appendWALFrame(nil, "lead", nil)
+		applied = 0
+		off, cnt, err = replayWALFile(bytes.NewReader(append(lead, framed...)), func(string, []Value) error {
+			applied++
+			return nil
+		})
+		want, wantOff := 1, int64(walHeaderSize+len(lead))
+		if whole && countDelta == 0 {
+			want, wantOff = 1+len(batch), wantOff+int64(len(framed))
+		}
+		if err != nil || applied != want || cnt != int64(want) || off != wantOff {
+			t.Fatalf("batch of %d (count +%d, cut %d of %d bytes): applied %d records (cnt %d) to offset %d, err %v; want %d to offset %d",
+				len(batch), countDelta, cut, walBatchSize(batch), applied, cnt, off, err, want, wantOff)
 		}
 	})
 }
