@@ -95,19 +95,21 @@ FUZZTIME ?= 5s
 
 # Short coverage-guided fuzz of the hostile-input surfaces: the SQL
 # lexer/parser, the SQL statement cache (differential against a fresh
-# parse), the WAL record codec/replay, the packed scan-chain codec,
+# parse), the WAL record codec/replay, the checkpoint image load (whole
+# image or an error), the packed scan-chain codec,
 # the page-delta checkpoint round-trip, the Thor instruction decoder (a
 # fault can turn any word into a fetched instruction), the Thor predecode
 # table under ROM rewrites, I-cache flips and resets, the storage-chaos
 # fault-schedule codec, the logged state-vector codec (rows read back
 # from the database) and the section comparison that classifies those rows
 # (differential against decoding). `go test -fuzz` takes one target per
-# invocation, hence eleven runs.
+# invocation, hence twelve runs.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzStatementCache$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzImageLoad$$' -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsPackUnpack$$' -fuzztime $(FUZZTIME) ./internal/scan
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDelta$$' -fuzztime $(FUZZTIME) ./internal/thor
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/thor

@@ -2,23 +2,33 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"goofi/internal/sqldb"
 )
 
 func seedDB(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.db")
-	script := `CREATE TABLE exp (id INTEGER PRIMARY KEY, outcome TEXT);
+	writeDB(t, path, `CREATE TABLE exp (id INTEGER PRIMARY KEY, outcome TEXT);
 INSERT INTO exp VALUES (1, 'detected');
 INSERT INTO exp VALUES (2, 'latent');
-`
-	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+`)
+	return path
+}
+
+// writeDB saves the database a SQL script builds as the image at path.
+func writeDB(t *testing.T, path, script string) {
+	t.Helper()
+	db := sqldb.New()
+	if err := db.ExecScript(script); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestExecSelect(t *testing.T) {
@@ -118,10 +128,7 @@ func TestMissingDBFlag(t *testing.T) {
 func TestLongValuesTruncatedInTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.db")
 	long := strings.Repeat("x", 100)
-	script := "CREATE TABLE t (v TEXT);\nINSERT INTO t VALUES ('" + long + "');\n"
-	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeDB(t, path, "CREATE TABLE t (v TEXT);\nINSERT INTO t VALUES ('"+long+"');\n")
 	var out bytes.Buffer
 	if err := run([]string{"-db", path, "-e", "SELECT v FROM t"}, strings.NewReader(""), &out); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ Locations:   chain:<name>[/<field>] and mem:<lo>-<hi>, comma separated
 Chaos spec:  err=P,panic=P,hang=P[,seed=S][,hangdur=D] — wraps the target in a
              seeded transient-fault injector to exercise retry/quarantine/watchdog
 Durability:  -wal appends every store mutation to FILE.wal via group commit
-             instead of rewriting the dump per save, replays the log on open
+             instead of rewriting the image per save, replays the log on open
              after a crash, and folds it into FILE at checkpoints.
              -wal-sync "every=N,interval=D" relaxes the fsync policy (default
              every=1: acknowledged rows are fsynced, SIGKILL-safe);

@@ -111,6 +111,10 @@ type paramExpr struct{ Index int } // 0-based index into the args slice
 type columnExpr struct {
 	Table  string // optional qualifier
 	Column string
+	// key is the name rowEnv.cols holds the column under, lower-cased
+	// "table.column" or "column". It is resolved when the node is built,
+	// because a cached AST is shared and never written afterwards.
+	key string
 }
 
 type unaryExpr struct {

@@ -30,7 +30,7 @@ var (
 //
 // A DB opened with OpenWithWAL additionally appends every mutating statement
 // to a write-ahead log before Exec returns, replays that log on open, and
-// folds it into the dump image on Checkpoint — see wal.go.
+// folds it into the checkpoint image on Checkpoint — see wal.go.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table // keyed by lower-cased name
@@ -40,7 +40,7 @@ type DB struct {
 	// from New. Immutable once set.
 	stmts *stmtCache
 
-	// generation numbers the dump image this in-memory state extends; it is
+	// generation numbers the image this in-memory state extends; it is
 	// guarded by mu and advanced by every Save/Checkpoint.
 	generation uint64
 	// path is the image file this DB was opened from ("" for New()).
@@ -310,7 +310,7 @@ func (db *DB) execStmtLocked(st statement, args []Value, query string) (Result, 
 	}
 }
 
-// Checkpoint folds the write-ahead log into the dump image: the current state
+// Checkpoint folds the write-ahead log into the image: the current state
 // is durably written to the database path at the next generation and the log
 // is truncated to a fresh header carrying that generation. A crash anywhere
 // in between is safe — until the image rename lands the old image + old WAL
@@ -330,8 +330,7 @@ func (db *DB) checkpointNow() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	gen := db.generation + 1
-	data := generationHeader(gen) + db.dumpLocked()
-	if err := db.writeFileDurable(db.path, []byte(data)); err != nil {
+	if err := db.writeFileDurable(db.path, db.imageLocked(gen)); err != nil {
 		return fmt.Errorf("checkpoint database: %w", err)
 	}
 	// Holding mu means nothing can be enqueued between the image write and

@@ -16,19 +16,13 @@ type rowEnv struct {
 	args []Value
 }
 
-func (env *rowEnv) lookup(table, column string) (int, error) {
-	var key string
-	if table != "" {
-		key = strings.ToLower(table) + "." + strings.ToLower(column)
-	} else {
-		key = strings.ToLower(column)
-	}
-	idx, ok := env.cols[key]
+func (env *rowEnv) lookup(c *columnExpr) (int, error) {
+	idx, ok := env.cols[c.key]
 	if !ok {
-		return 0, fmt.Errorf("no such column: %s", displayName(table, column))
+		return 0, fmt.Errorf("no such column: %s", displayName(c.Table, c.Column))
 	}
 	if idx < 0 {
-		return 0, fmt.Errorf("ambiguous column name: %s", displayName(table, column))
+		return 0, fmt.Errorf("ambiguous column name: %s", displayName(c.Table, c.Column))
 	}
 	return idx, nil
 }
@@ -51,7 +45,7 @@ func evalExpr(e exprNode, env *rowEnv) (Value, error) {
 		}
 		return env.args[x.Index], nil
 	case *columnExpr:
-		idx, err := env.lookup(x.Table, x.Column)
+		idx, err := env.lookup(x)
 		if err != nil {
 			return Value{}, err
 		}

@@ -619,7 +619,7 @@ func expandItems(items []selectItem, je *joinedEnv) ([]selectItem, []string, err
 				continue
 			}
 			for _, c := range src.t.def.Columns {
-				flat = append(flat, selectItem{Expr: &columnExpr{Table: src.alias, Column: c.Name}})
+				flat = append(flat, selectItem{Expr: newColumnExpr(src.alias, c.Name)})
 				names = append(names, c.Name)
 			}
 		}

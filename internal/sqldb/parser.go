@@ -871,9 +871,9 @@ func (p *parser) parsePrimary() (exprNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &columnExpr{Table: t.text, Column: col}, nil
+			return newColumnExpr(t.text, col), nil
 		}
-		return &columnExpr{Column: t.text}, nil
+		return newColumnExpr("", t.text), nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.next()
@@ -888,6 +888,15 @@ func (p *parser) parsePrimary() (exprNode, error) {
 		}
 	}
 	return nil, p.errorf("unexpected token %q in expression", t.text)
+}
+
+// newColumnExpr builds a column reference with its lookup key resolved.
+func newColumnExpr(table, column string) *columnExpr {
+	key := strings.ToLower(column)
+	if table != "" {
+		key = strings.ToLower(table) + "." + key
+	}
+	return &columnExpr{Table: table, Column: column, key: key}
 }
 
 // exprString renders an expression back to SQL-ish text, used in error

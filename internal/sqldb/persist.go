@@ -1,7 +1,12 @@
 package sqldb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/bits"
 	"os"
 	"strings"
 
@@ -9,16 +14,13 @@ import (
 )
 
 // Dump serialises the whole database as a SQL script that, replayed against
-// an empty database, reproduces it. Tables are emitted in creation order so
-// foreign-key parents always precede children (FKs can only reference tables
-// that already existed at CREATE time).
+// an empty database, reproduces it: the readable export (`goofi-db .dump`).
+// Tables are emitted in creation order so foreign-key parents always precede
+// children (FKs can only reference tables that already existed at CREATE
+// time). Files on disk hold the binary checkpoint image instead (see Save).
 func (db *DB) Dump() string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.dumpLocked()
-}
-
-func (db *DB) dumpLocked() string {
 	var sb strings.Builder
 	for _, key := range db.order {
 		t := db.tables[key]
@@ -173,27 +175,132 @@ func SplitStatements(script string) ([]string, error) {
 	return stmts, nil
 }
 
-// generationHeader is the comment line leading every saved image that names
-// the image's generation. The SQL lexer skips line comments, so the header is
-// invisible to replay; Open parses it to decide whether a sidecar WAL extends
-// this image or predates it.
-func generationHeader(gen uint64) string {
-	return fmt.Sprintf("-- goofi generation %d\n", gen)
+// Checkpoint image framing. An image is a compacted WAL: the WAL's header
+// layout under its own magic, then WAL record frames that rebuild the
+// database, then an end frame. The records are one CREATE TABLE per table in
+// creation order, so foreign-key parents precede children, and per table
+// parameterised multi-row INSERTs of at most imageChunkRows rows, in
+// power-of-two row counts, so one table shape has at most nine texts and
+// they stay in the statement cache. The end frame's payload is mark[4]
+// records[4] generation[8]: it carries the record count, so an image cut at
+// a frame boundary is not a smaller database, and repeats the header's
+// generation, which no frame CRC covers otherwise.
+const (
+	imageMagic     = "GIMG"
+	imageVersion   = 1
+	imageEndMark   = walBatchMark - 1 // a length no statement record can carry, like walBatchMark
+	imageEndSize   = walFrameSize + 16
+	imageChunkRows = 256
+)
+
+// imageLocked encodes the database as a checkpoint image of generation gen,
+// in one buffer of exactly its size. Callers hold mu.
+func (db *DB) imageLocked(gen uint64) []byte {
+	var recs []imageRecord
+	for _, key := range db.order {
+		t := db.tables[key]
+		recs = append(recs, imageRecord{sql: createTableSQL(&t.def)})
+		for rows := t.rows; len(rows) > 0; {
+			n := imageChunk(rows)
+			recs = append(recs, imageRecord{insertTemplate(t.def.Name, len(t.def.Columns), n), rows[:n]})
+			rows = rows[n:]
+		}
+	}
+	size := walHeaderSize + imageEndSize
+	for _, r := range recs {
+		size += r.size()
+	}
+	buf := appendFileHeader(make([]byte, 0, size), imageMagic, imageVersion, gen)
+	for _, r := range recs {
+		buf = r.appendFrame(buf)
+	}
+	head := len(buf)
+	buf = binary.LittleEndian.AppendUint32(openWALFrame(buf), imageEndMark)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	return closeWALFrame(binary.LittleEndian.AppendUint64(buf, gen), head)
 }
 
-// parseGeneration extracts the generation from an image's header line.
-// Headerless images (written before WAL support) are generation 0.
-func parseGeneration(data string) uint64 {
-	const prefix = "-- goofi generation "
-	if !strings.HasPrefix(data, prefix) {
-		return 0
+// imageRecord is one statement record of an image: its text and the rows
+// whose values, in order, bind its placeholders.
+type imageRecord struct {
+	sql  string
+	rows [][]Value
+}
+
+func (r imageRecord) size() int {
+	n := walFrameSize + walPayloadSize(r.sql, nil)
+	for _, row := range r.rows {
+		n += walValuesSize(row)
 	}
-	rest := data[len(prefix):]
-	var gen uint64
-	for i := 0; i < len(rest) && rest[i] >= '0' && rest[i] <= '9'; i++ {
-		gen = gen*10 + uint64(rest[i]-'0')
+	return n
+}
+
+// appendFrame frames the record as appendWALFrame frames its text and
+// flattened rows, without flattening them.
+func (r imageRecord) appendFrame(dst []byte) []byte {
+	head, argc := len(dst), 0
+	for _, row := range r.rows {
+		argc += len(row)
 	}
-	return gen
+	dst = appendWALPayloadHead(openWALFrame(dst), r.sql, argc)
+	for _, row := range r.rows {
+		dst = appendWALValues(dst, row)
+	}
+	return closeWALFrame(dst, head)
+}
+
+// imageChunk is how many of rows the next INSERT record carries: the
+// largest power of two within imageChunkRows and len(rows), halved while
+// their values would fill more than half of a frame replay accepts.
+func imageChunk(rows [][]Value) int {
+	n := 1 << (bits.Len(uint(min(len(rows), imageChunkRows))) - 1)
+	for n > 1 && (imageRecord{rows: rows[:n]}).size() > maxWALPayload/2 {
+		n /= 2
+	}
+	return n
+}
+
+// insertTemplate is "INSERT INTO table VALUES (?, ?), (?, ?)" for rows rows
+// of cols columns: the text the store's bulk writes issue for the same row
+// count, so the two share a statement-cache entry.
+func insertTemplate(table string, cols, rows int) string {
+	row := "(" + strings.Repeat("?, ", cols-1) + "?)"
+	return "INSERT INTO " + table + " VALUES " + row + strings.Repeat(", "+row, rows-1)
+}
+
+// loadImageData applies a checkpoint image to db, an empty database, and
+// returns the image's generation. Records go through WAL replay, but unlike
+// a WAL an image has no torn tail to forgive: it becomes visible only by an
+// atomic rename, so any damage (a bad CRC, a short frame, a missing or wrong
+// end frame, trailing bytes) fails the load. Files that are not images, SQL
+// scripts included, are rejected by name.
+func (db *DB) loadImageData(data []byte) (uint64, error) {
+	if len(data) < walHeaderSize || string(data[:4]) != imageMagic {
+		return 0, fmt.Errorf("not a goofi checkpoint image (no %q header; SQL-script images are not read)", imageMagic)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != imageVersion {
+		return 0, fmt.Errorf("unsupported checkpoint image version %d", v)
+	}
+	gen := binary.LittleEndian.Uint64(data[8:])
+	if len(data) < walHeaderSize+imageEndSize {
+		return 0, errors.New("checkpoint image truncated: no end frame")
+	}
+	bodyEnd := len(data) - imageEndSize
+	end, payload := data[bodyEnd:], data[bodyEnd+walFrameSize:]
+	if binary.LittleEndian.Uint32(end) != imageEndSize-walFrameSize ||
+		binary.LittleEndian.Uint32(end[4:]) != crc32.ChecksumIEEE(payload) ||
+		binary.LittleEndian.Uint32(payload) != imageEndMark ||
+		binary.LittleEndian.Uint64(payload[8:]) != gen {
+		return 0, errors.New("checkpoint image truncated or damaged: no intact end frame")
+	}
+	valid, n, err := replayWALFile(bytes.NewReader(data[walHeaderSize:bodyEnd]), db.applyWALRecord)
+	if err != nil {
+		return 0, err
+	}
+	if want := binary.LittleEndian.Uint32(payload[4:]); valid != int64(bodyEnd) || n != int64(want) {
+		return 0, fmt.Errorf("checkpoint image damaged: %d of %d records intact", n, want)
+	}
+	return gen, nil
 }
 
 // writeFileDurable atomically and durably replaces path with data through
@@ -211,7 +318,7 @@ func (db *DB) fsys() vfs.FS {
 	return db.fs
 }
 
-// Save writes the database dump durably and atomically to path. On a
+// Save writes the database image durably and atomically to path. On a
 // WAL-backed database saving to its own path this is a checkpoint: the WAL is
 // folded into the image and truncated. Every successful save advances the
 // image generation, so a sidecar WAL left beside path by an earlier
@@ -227,9 +334,9 @@ func (db *DB) Save(path string) error {
 	db.mu.Lock()
 	db.generation++
 	gen := db.generation
-	data := generationHeader(gen) + db.dumpLocked()
+	data := db.imageLocked(gen)
 	db.mu.Unlock()
-	if err := db.writeFileDurable(path, []byte(data)); err != nil {
+	if err := db.writeFileDurable(path, data); err != nil {
 		db.mu.Lock()
 		// Roll back only if no concurrent save advanced past us.
 		if db.generation == gen {
@@ -241,8 +348,10 @@ func (db *DB) Save(path string) error {
 	return nil
 }
 
-// loadImage reads the dump image at path into db and returns its generation.
-// A missing file is an empty generation-0 database.
+// loadImage reads the checkpoint image at path into db and returns its
+// generation. A missing or empty file is an empty generation-0 database: an
+// empty file is what a crash leaves when the image's rename was durable but
+// a lying fsync dropped its data.
 func (db *DB) loadImage(path string) (uint64, error) {
 	data, err := db.fsys().ReadFile(path)
 	if err != nil {
@@ -251,10 +360,14 @@ func (db *DB) loadImage(path string) (uint64, error) {
 		}
 		return 0, fmt.Errorf("open database: %w", err)
 	}
-	if err := db.ExecScript(string(data)); err != nil {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	gen, err := db.loadImageData(data)
+	if err != nil {
 		return 0, fmt.Errorf("open database %s: %w", path, err)
 	}
-	return parseGeneration(string(data)), nil
+	return gen, nil
 }
 
 // applyWALRecord executes one recovered statement without re-logging it.
@@ -301,7 +414,7 @@ func OpenWithWAL(path string, opts WALOptions) (*DB, error) {
 	return OpenWithWALFS(path, vfs.OS{}, opts)
 }
 
-// OpenWithWALFS is OpenWithWAL over an explicit filesystem: dump image, WAL
+// OpenWithWALFS is OpenWithWAL over an explicit filesystem: image, WAL
 // sidecar, checkpoints and group commits all route through fsys.
 func OpenWithWALFS(path string, fsys vfs.FS, opts WALOptions) (*DB, error) {
 	db := New()

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,5 +404,33 @@ func TestBetween(t *testing.T) {
 	rendered := exprString(st.(*selectStmt).Items[0].Expr)
 	if _, err := parse("SELECT " + rendered + " FROM t"); err != nil {
 		t.Fatalf("re-parse of %q failed: %v", rendered, err)
+	}
+}
+
+// TestColumnLookupAllocsFlat: evaluating a WHERE over every row resolves
+// its column references without allocating, so a SELECT that returns the
+// same rows allocates the same at any table size. Mixed-case names are the
+// case that used to lower-case (and allocate) once per row.
+func TestColumnLookupAllocsFlat(t *testing.T) {
+	const q = "SELECT experimentName, stateVector FROM Logged WHERE campaignName = ?"
+	allocs := func(rows int) float64 {
+		db := New()
+		mustExec(t, db, "CREATE TABLE Logged (experimentName TEXT PRIMARY KEY, campaignName TEXT, stateVector BLOB)")
+		for i := 0; i < rows; i++ {
+			camp := "other"
+			if i < 4 {
+				camp = "c1"
+			}
+			mustExec(t, db, "INSERT INTO Logged VALUES (?, ?, ?)", Text(fmt.Sprintf("e%d", i)), Text(camp), Blob([]byte{1}))
+		}
+		return testing.AllocsPerRun(20, func() {
+			if rs, err := db.Query(q, Text("c1")); err != nil || rs.Len() != 4 {
+				t.Fatalf("query: %d rows, err %v", rs.Len(), err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(1024)
+	if large != small {
+		t.Fatalf("SELECT allocates %.0f times over 1024 rows, %.0f over 16: lookups allocate per row", large, small)
 	}
 }

@@ -51,10 +51,10 @@ func newStmtCache(limit int) *stmtCache {
 }
 
 // parse returns the AST of text, parsing it on a miss. Kept are texts with
-// a ? placeholder, the templates a program reissues with fresh arguments,
-// and CREATE TABLE texts, which every store open reissues for its schema.
-// Other literal-only texts (the rows of dump images, scripts) are mostly
-// one-offs that would only evict them.
+// a ? placeholder, the templates a program reissues with fresh arguments
+// (checkpoint images load through them too), and CREATE TABLE texts, which
+// every store open and image load reissues. Other literal-only texts, such
+// as a script's rows, are mostly one-offs that would only evict them.
 func (c *stmtCache) parse(text string) (statement, error) {
 	c.mu.Lock()
 	if el, ok := c.byText[text]; ok {
@@ -177,7 +177,7 @@ func exprBytes(e exprNode) int {
 	case *paramExpr:
 		return int(unsafe.Sizeof(*x))
 	case *columnExpr:
-		return int(unsafe.Sizeof(*x)) + len(x.Table) + len(x.Column)
+		return int(unsafe.Sizeof(*x)) + len(x.Table) + len(x.Column) + len(x.key)
 	case *unaryExpr:
 		return int(unsafe.Sizeof(*x)) + len(x.Op) + exprBytes(x.X)
 	case *binaryExpr:

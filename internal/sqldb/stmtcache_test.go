@@ -338,3 +338,108 @@ func TestKeyEncoding(t *testing.T) {
 		}
 	}
 }
+
+// walSeqSchema has the tables, column counts and keys a campaign store
+// writes into.
+const walSeqSchema = `
+	CREATE TABLE IF NOT EXISTS TargetSystemData (testCardName TEXT PRIMARY KEY, description TEXT,
+		memSize INTEGER NOT NULL, romSize INTEGER NOT NULL);
+	CREATE TABLE IF NOT EXISTS FaultLocation (testCardName TEXT NOT NULL, locationName TEXT NOT NULL,
+		chainName TEXT NOT NULL, firstBit INTEGER NOT NULL, width INTEGER NOT NULL, writable INTEGER NOT NULL,
+		PRIMARY KEY (testCardName, locationName),
+		FOREIGN KEY (testCardName) REFERENCES TargetSystemData (testCardName));
+	CREATE TABLE IF NOT EXISTS CampaignData (campaignName TEXT PRIMARY KEY, testCardName TEXT NOT NULL,
+		FOREIGN KEY (testCardName) REFERENCES TargetSystemData (testCardName));
+	CREATE TABLE IF NOT EXISTS LoggedSystemState (experimentName TEXT PRIMARY KEY, parentExperiment TEXT,
+		campaignName TEXT NOT NULL, experimentData TEXT, terminationReason TEXT, mechanism TEXT,
+		cycles INTEGER, iterations INTEGER, stateVector BLOB,
+		FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName),
+		FOREIGN KEY (parentExperiment) REFERENCES LoggedSystemState (experimentName));
+	CREATE TABLE IF NOT EXISTS AnalysisResult (experimentName TEXT PRIMARY KEY, campaignName TEXT NOT NULL,
+		outcome TEXT NOT NULL, mechanism TEXT,
+		FOREIGN KEY (experimentName) REFERENCES LoggedSystemState (experimentName),
+		FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName));`
+
+// walSeqCampaign issues what one sequential 64-experiment campaign writes
+// and reads, with the store's texts: the 546-location inventory in chunks
+// of 256, one INSERT per experiment, the classification SELECT, and the
+// analysis write (a DELETE … IN and a 64-row INSERT).
+func walSeqCampaign(t *testing.T, db *DB, campaign string) {
+	t.Helper()
+	schema, err := SplitStatements(walSeqSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Stmt, len(schema))
+	for i, q := range schema {
+		batch[i].SQL = q
+	}
+	if err := db.ExecBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO TargetSystemData VALUES (?, ?, ?, ?)", Text("thor"), Text("card"), Int64(1), Int64(1))
+	for first := 0; first < 546; first += 256 {
+		n := min(546-first, 256)
+		var args []Value
+		for i := first; i < first+n; i++ {
+			args = append(args, Text("thor"), Text(fmt.Sprintf("loc%d", i)), Text("internal"), Int64(int64(i)), Int64(1), Int64(1))
+		}
+		mustExec(t, db, insertTemplate("FaultLocation", 6, n), args...)
+	}
+	mustExec(t, db, "INSERT INTO CampaignData VALUES (?, ?)", Text(campaign), Text("thor"))
+	names := make([]Value, 64)
+	for i := range names {
+		names[i] = Text(fmt.Sprintf("%s/e%04d", campaign, i))
+		mustExec(t, db, insertTemplate("LoggedSystemState", 9, 1), names[i], Null(), Text(campaign), Text("plan"),
+			Text("workload-end"), Text(""), Int64(100), Int64(1), Blob(make([]byte, 64)))
+	}
+	if rs := mustQuery(t, db, "SELECT * FROM LoggedSystemState WHERE campaignName = ? ORDER BY experimentName", Text(campaign)); rs.Len() != 64 {
+		t.Fatalf("classification read %d rows, want 64", rs.Len())
+	}
+	var analysis []Value
+	for _, n := range names {
+		analysis = append(analysis, n, Text(campaign), Text("latent"), Null())
+	}
+	if err := db.ExecBatch([]Stmt{
+		{SQL: "DELETE FROM AnalysisResult WHERE experimentName IN (?" + strings.Repeat(", ?", 63) + ")", Args: names},
+		{SQL: insertTemplate("AnalysisResult", 4, 64), Args: analysis},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImageLoadKeepsHotTemplatesCached: loading a campaign store's image
+// (546 FaultLocation, 64 LoggedSystemState and 64 AnalysisResult rows)
+// through the statement cache evicts none of the texts the next campaign
+// issues, and a second load parses nothing.
+func TestImageLoadKeepsHotTemplatesCached(t *testing.T) {
+	c := newStmtCache(stmtCacheBytes)
+	onCache := func() *DB {
+		db := New()
+		db.stmts = c
+		return db
+	}
+	first := onCache()
+	walSeqCampaign(t, first, "c1")
+	img := imageOf(first, 1)
+	for load := 1; load <= 2; load++ {
+		before := c.misses.Load()
+		loaded := onCache()
+		if _, err := loaded.loadImageData(img); err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Dump() != first.Dump() {
+			t.Fatal("loaded image differs from the saved store")
+		}
+		if parsed := c.misses.Load() - before; load == 2 && parsed != 0 {
+			t.Fatalf("second image load parsed %d statements, want 0", parsed)
+		}
+		before = c.misses.Load()
+		walSeqCampaign(t, onCache(), fmt.Sprintf("c%d", load+1))
+		if parsed := c.misses.Load() - before; parsed != 0 {
+			t.Fatalf("campaign after image load %d parsed %d statements, want 0 (cache holds %d bytes in %d entries)",
+				load, parsed, c.size, len(c.byText))
+		}
+	}
+	t.Logf("statement cache: %d bytes in %d entries", c.size, len(c.byText))
+}

@@ -9,9 +9,9 @@ import (
 	"goofi/internal/vfs"
 )
 
-// TestOpenTruncatedImage: an image cut off mid-statement (the shape a torn
-// non-atomic write would leave) must fail the open loudly, not come up as a
-// silently smaller database.
+// TestOpenTruncatedImage: an image cut short (the shape a torn non-atomic
+// write would leave) must fail the open loudly, not come up as a silently
+// smaller database.
 func TestOpenTruncatedImage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.db")
@@ -25,7 +25,7 @@ func TestOpenTruncatedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut inside the final INSERT's string literal: unterminated statement.
+	// Cut inside the end frame.
 	if err := os.WriteFile(path, img[:len(img)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSaveRollsBackGenerationOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := parseGeneration(string(data)); g != 1 {
+	if g := imageGeneration(t, data); g != 1 {
 		t.Fatalf("image generation %d after fail-then-succeed, want 1", g)
 	}
 }

@@ -7,12 +7,13 @@
 // execution order) and block on a ticket while the committer coalesces
 // everything pending into one write and, per the sync policy, one fsync. A
 // store flush therefore costs O(batch) — one log append — no matter how many
-// rows the database already holds; the whole-file dump is only rewritten when
-// the WAL is folded into it by a checkpoint.
+// rows the database already holds; the whole-file image is only rewritten
+// when the WAL is folded into it by a checkpoint. The image is itself a
+// compacted log in the same frames (see imageLocked in persist.go).
 //
-// Crash consistency hangs on one number, the generation. The dump image
-// carries its generation in a leading SQL comment; the WAL header carries the
-// generation of the image it extends. Open replays the WAL over the image only
+// Crash consistency hangs on one number, the generation. The image header
+// carries its generation; the WAL header carries the generation of the image
+// it extends. Open replays the WAL over the image only
 // when the two match. A checkpoint durably writes the new image (generation
 // N+1) and only then resets the WAL to generation N+1 — a crash between the
 // two steps leaves a stale WAL that the next open discards, never a record
@@ -56,7 +57,7 @@ type WALOptions struct {
 	// behind its write. Zero means DefaultSyncInterval.
 	SyncInterval time.Duration
 	// CheckpointBytes is the WAL size that triggers an automatic checkpoint
-	// (fold the log into the dump image and truncate it). Zero means
+	// (fold the log into the image and truncate it). Zero means
 	// DefaultCheckpointBytes; negative disables automatic checkpointing.
 	CheckpointBytes int64
 }
@@ -173,9 +174,17 @@ type wal struct {
 // appendWALPayload encodes one statement record: the SQL text and its bound
 // parameters.
 func appendWALPayload(dst []byte, sql string, args []Value) []byte {
+	return appendWALValues(appendWALPayloadHead(dst, sql, len(args)), args)
+}
+
+// appendWALPayloadHead encodes what precedes a record's argc parameters.
+func appendWALPayloadHead(dst []byte, sql string, argc int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sql)))
-	dst = append(dst, sql...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(args)))
+	return binary.LittleEndian.AppendUint32(append(dst, sql...), uint32(argc))
+}
+
+// appendWALValues encodes the bound parameters of a record.
+func appendWALValues(dst []byte, args []Value) []byte {
 	for _, v := range args {
 		dst = append(dst, byte(v.Kind))
 		switch v.Kind {
@@ -196,9 +205,13 @@ func appendWALPayload(dst []byte, sql string, args []Value) []byte {
 
 // walPayloadSize is the length appendWALPayload gives a record.
 func walPayloadSize(sql string, args []Value) int {
-	n := 4 + len(sql) + 4
+	return 4 + len(sql) + 4 + walValuesSize(args)
+}
+
+// walValuesSize is the length appendWALValues gives args.
+func walValuesSize(args []Value) int {
+	n := len(args)
 	for _, v := range args {
-		n++
 		switch v.Kind {
 		case KindInt, KindReal:
 			n += 8
@@ -310,8 +323,15 @@ func (c *walCursor) u64() uint64 {
 // payload.
 func appendWALFrame(dst []byte, sql string, args []Value) []byte {
 	head := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = appendWALPayload(dst, sql, args)
+	return closeWALFrame(appendWALPayload(openWALFrame(dst), sql, args), head)
+}
+
+// openWALFrame appends the placeholder of a frame header; closeWALFrame
+// fills it in once the payload that follows it, up to the end of dst, is
+// appended. head is the length of dst before openWALFrame.
+func openWALFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+func closeWALFrame(dst []byte, head int) []byte {
 	payload := dst[head+walFrameSize:]
 	binary.LittleEndian.PutUint32(dst[head:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[head+4:], crc32.ChecksumIEEE(payload))
@@ -323,10 +343,8 @@ func appendWALFrame(dst []byte, sql string, args []Value) []byte {
 // statement. walBatchSize gives the length it adds.
 func appendWALBatch(dst []byte, stmts []Stmt) []byte {
 	head := len(dst)
-	dst = binary.LittleEndian.AppendUint32(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), walBatchMark)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(stmts)))
-	binary.LittleEndian.PutUint32(dst[head:], walBatchHeaderSize)
-	binary.LittleEndian.PutUint32(dst[head+4:], crc32.ChecksumIEEE(dst[head+walFrameSize:]))
+	dst = binary.LittleEndian.AppendUint32(openWALFrame(dst), walBatchMark)
+	dst = closeWALFrame(binary.LittleEndian.AppendUint32(dst, uint32(len(stmts))), head)
 	for _, st := range stmts {
 		dst = appendWALFrame(dst, st.SQL, st.Args)
 	}
@@ -342,12 +360,16 @@ func walBatchSize(stmts []Stmt) int {
 	return n
 }
 
+// appendFileHeader appends the 16-byte header the WAL and the checkpoint
+// image share: magic, format version, generation.
+func appendFileHeader(dst []byte, magic string, version uint32, gen uint64) []byte {
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint32(dst, version)
+	return binary.LittleEndian.AppendUint64(dst, gen)
+}
+
 func walHeader(gen uint64) []byte {
-	h := make([]byte, walHeaderSize)
-	copy(h, walMagic)
-	binary.LittleEndian.PutUint32(h[4:], walVersion)
-	binary.LittleEndian.PutUint64(h[8:], gen)
-	return h
+	return appendFileHeader(make([]byte, 0, walHeaderSize), walMagic, walVersion, gen)
 }
 
 // --- open / replay ---
@@ -448,7 +470,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replaySidecarWAL applies a matching-generation WAL beside a dump file, if
+// replaySidecarWAL applies a matching-generation WAL beside an image, if
 // one exists — the read-only recovery path used by plain Open so that every
 // consumer of the database file (analysis, reporting, goofi-db) sees
 // crash-consistent data without opting into WAL mode. A missing, empty,
@@ -609,7 +631,7 @@ func (w *wal) enqueue(records int, frame func([]byte) []byte) chan walAck {
 
 // reset asks the committer to discard the log and restart it at generation
 // gen. Callers hold the DB lock, so no record can be enqueued between the
-// request and the reply; every record already pending is covered by the dump
+// request and the reply; every record already pending is covered by the
 // image the caller just wrote, so its waiters are acknowledged successfully.
 func (w *wal) reset(gen uint64) error {
 	req := walReset{gen: gen, reply: make(chan error, 1)}

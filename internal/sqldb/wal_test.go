@@ -271,7 +271,7 @@ func TestWALCheckpointFoldsAndTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen := parseGeneration(string(img)); gen != 1 {
+	if gen := imageGeneration(t, img); gen != 1 {
 		t.Fatalf("image generation = %d, want 1", gen)
 	}
 	// Post-checkpoint writes land in the fresh log and replay over the image.
@@ -311,8 +311,7 @@ func TestWALStaleGenerationDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := generationHeader(1) + img.Dump()
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+	if err := os.WriteFile(path, imageOf(img, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, open := range []string{"plain", "wal"} {

@@ -1,5 +1,5 @@
 // Package vfs is the storage seam under goofi's persistence stack: a small
-// virtual-filesystem interface that internal/sqldb (dump images, the
+// virtual-filesystem interface that internal/sqldb (checkpoint images, the
 // write-ahead log) and internal/dbase route every file operation through.
 //
 // Production code uses the passthrough OS implementation and pays one
