@@ -5,10 +5,10 @@
 // a private data directory, two campaigns are submitted over HTTP (a big one
 // that starts running and a second that queues behind Concurrency=1), and
 // the parent SIGTERMs the daemon at a seeded random point. The daemon must
-// drain — checkpoint the interrupted campaign, persist the queue — and exit
+// drain — save the interrupted campaign's file, persist the queue — and exit
 // zero. The parent then inspects the tenant stores offline (every persisted
 // experiment row must be bit-identical to the no-crash reference run: the
-// WAL lost nothing it acknowledged and wrote nothing corrupt), restarts the
+// saved image lost nothing logged and holds nothing corrupt), restarts the
 // daemon on the same directory, and polls both campaigns to completion. The
 // resumed stores must match the reference runs row for row, and a final
 // clean drain must leave no queue file behind.
@@ -233,11 +233,11 @@ func queuedIDs(dataDir string) (map[string]bool, error) {
 	return ids, nil
 }
 
-// tenantStarted reports whether the service ever opened the campaign's
-// tenant store, which it does when the campaign starts: opening creates the
-// write-ahead log.
+// tenantStarted reports whether the campaign ever ran: the service writes
+// its campaign file only when it ends, and a drain ends a started campaign
+// with a Save, so a drained campaign without the file never left the queue.
 func tenantStarted(dataDir, tenant, campaign string) bool {
-	_, err := os.Stat(filepath.Join(dataDir, tenant, campaign+".db.wal"))
+	_, err := os.Stat(filepath.Join(dataDir, tenant, campaign+".db"))
 	return err == nil
 }
 
@@ -264,7 +264,7 @@ func tenantRows(dataDir, tenant, campaign string) ([]dbase.ExperimentRow, error)
 
 // checkPrefix verifies the no-acked-loss / no-corruption oracle on a crashed
 // store: every row that survived the drain must be bit-identical to the same
-// experiment in the no-crash reference — the WAL may hold fewer rows than a
+// experiment in the no-crash reference — the store may hold fewer rows than a
 // finished run, never a wrong one.
 func checkPrefix(got, want []dbase.ExperimentRow, id string) error {
 	ref := make(map[string]dbase.ExperimentRow, len(want))

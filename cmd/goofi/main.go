@@ -92,7 +92,7 @@ Usage:
   goofi stats     -metrics FILE | -diff OLD.json NEW.json
   goofi watch     [-campaign TENANT/NAME] [-retries N] HOST:PORT
   goofi serve     [-addr :8080] [-data DIR] [-queue N] [-concurrency N]
-                  [-wal-sync SPEC] [-drain-timeout D]
+                  [-drain-timeout D]
   goofi submit    -addr HOST:PORT [-retries N] (-spec FILE | -tenant T
                   -campaign NAME -workload W -locations FILTER -n N [-seed S]
                   [-workers W] [-chaos SPEC])

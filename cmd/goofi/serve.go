@@ -1,8 +1,8 @@
 // goofi serve: the campaign-as-a-service daemon. It accepts campaign
 // submissions from many tenants over a JSON/HTTP API, runs them behind a
-// bounded-concurrency queue — each tenant isolated in its own WAL-backed
-// database directory — and drains gracefully on SIGTERM: in-flight
-// campaigns are checkpointed and queued ones persisted, so a restarted
+// bounded-concurrency queue — each tenant isolated in its own database
+// directory, one file per campaign — and drains gracefully on SIGTERM:
+// in-flight campaigns are saved and queued ones persisted, so a restarted
 // daemon resumes exactly where it stopped.
 //
 //	goofi serve -addr :8080 -data ./goofi-data
@@ -39,20 +39,14 @@ func cmdServe(args []string) error {
 	dataDir := fs.String("data", "goofi-data", "service data directory (one subdirectory per tenant)")
 	queueLimit := fs.Int("queue", 8, "queued campaigns beyond the running ones before 429")
 	concurrency := fs.Int("concurrency", 2, "campaigns executing at once")
-	walSync := fs.String("wal-sync", "", "WAL durability policy, e.g. \"every=8,interval=5ms\" (default every=1)")
-	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long SIGTERM waits for running campaigns to checkpoint")
+	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long SIGTERM waits for running campaigns to stop and save")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	walOpts, err := parseWALSync(*walSync)
-	if err != nil {
 		return err
 	}
 	svc, err := service.New(service.Options{
 		DataDir:     *dataDir,
 		QueueLimit:  *queueLimit,
 		Concurrency: *concurrency,
-		WALOptions:  walOpts,
 		Logger:      logger,
 	})
 	if err != nil {
@@ -87,7 +81,7 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	srv.Close()
-	logger.Info("drained; campaigns checkpointed and queue persisted")
+	logger.Info("drained; campaigns saved and queue persisted")
 	return nil
 }
 

@@ -418,16 +418,7 @@ type CampaignRow struct {
 // PutCampaign inserts a campaign definition.
 func (s *Store) PutCampaign(c CampaignRow) error {
 	defer s.timeOp("PutCampaign")(1)
-	st := campaignInsert(c)
-	if _, err := s.db.Exec(st.SQL, st.Args...); err != nil {
-		return fmt.Errorf("dbase: put campaign %s: %w", c.CampaignName, err)
-	}
-	return nil
-}
-
-// campaignInsert is the INSERT of one CampaignData row.
-func campaignInsert(c CampaignRow) sqldb.Stmt {
-	return sqldb.Stmt{SQL: "INSERT INTO CampaignData VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", Args: []sqldb.Value{
+	_, err := s.db.Exec("INSERT INTO CampaignData VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
 		sqldb.Text(c.CampaignName), sqldb.Text(c.TestCardName),
 		sqldb.Text(c.Workload), sqldb.Text(c.Technique),
 		sqldb.Text(c.FaultModel), sqldb.Text(c.LocationFilter),
@@ -435,8 +426,11 @@ func campaignInsert(c CampaignRow) sqldb.Stmt {
 		sqldb.Int64(c.Seed), sqldb.Int64(int64(c.InjectMinTime)),
 		sqldb.Int64(int64(c.InjectMaxTime)), sqldb.Int64(int64(c.MaxCycles)),
 		sqldb.Int64(int64(c.MaxIterations)), sqldb.Bool(c.DetailMode),
-		sqldb.Text(c.EnvSimulator), sqldb.Text(c.Notes),
-	}}
+		sqldb.Text(c.EnvSimulator), sqldb.Text(c.Notes))
+	if err != nil {
+		return fmt.Errorf("dbase: put campaign %s: %w", c.CampaignName, err)
+	}
+	return nil
 }
 
 // GetCampaign fetches a campaign definition.
@@ -576,8 +570,10 @@ func appendExperimentArgs(args []sqldb.Value, e ExperimentRow) []sqldb.Value {
 // emitRowsDurable records that the store acknowledged these experiment rows,
 // one wide event per row naming the WAL commit batch (batch=N) that carried
 // it, so a timeline can tie each logged row to the fsync that made it
-// durable. Rows written by one store call share a batch. Stores without a
-// journal (or without a WAL: batch 0, synced false) pay one branch.
+// durable. Rows written by one store call share a batch. A store without a
+// WAL — a plain file-backed one, as every service campaign store is — says
+// batch=0 synced=false: its rows become durable at the next Save's image
+// rename, which no event names. Stores without a journal pay one branch.
 func (s *Store) emitRowsDurable(rows []ExperimentRow) {
 	j := s.rec.Journal()
 	if j == nil {
@@ -656,26 +652,6 @@ func (s *Store) PutExperiments(rows []ExperimentRow) error {
 func (s *Store) putExperiments(rows []ExperimentRow) error {
 	if err := insertChunked(s, "LoggedSystemState", 9, rows, appendExperimentArgs, nil); err != nil {
 		return err
-	}
-	s.emitRowsDurable(rows)
-	return nil
-}
-
-// PutRun writes what one campaign run added as one store write: the
-// campaign row when c is non-nil, the experiment rows and the run-metrics
-// rows. A crash keeps all of them or none. The service merges each
-// campaign's scratch store into its tenant store through this; the state
-// vector contract of PutExperiments applies.
-func (s *Store) PutRun(c *CampaignRow, rows []ExperimentRow, runs []RunMetricsRow) error {
-	defer s.timeOp("PutRun")(len(rows) + len(runs))
-	var batch []sqldb.Stmt
-	if c != nil {
-		batch = append(batch, campaignInsert(*c))
-	}
-	batch = appendInserts(batch, "LoggedSystemState", 9, rows, appendExperimentArgs, nil)
-	batch = appendInserts(batch, "CampaignRunMetrics", runMetricsCols, runs, appendRunMetricsArgs, nil)
-	if err := s.db.ExecBatch(batch); err != nil {
-		return fmt.Errorf("dbase: put run of %d experiments and %d run-metrics rows: %w", len(rows), len(runs), err)
 	}
 	s.emitRowsDurable(rows)
 	return nil

@@ -135,7 +135,7 @@ func (w *statusWriter) status() int {
 
 // emitHTTPTrace attributes one served request to the campaign it concerns, so
 // the provenance timeline runs end to end: HTTP request → experiment attempts
-// → WAL fsync.
+// → logged rows.
 func (s *Server) emitHTTPTrace(req *http.Request, pattern, rid string, status int, start time.Time) {
 	tenant, name := req.PathValue("tenant"), req.PathValue("name")
 	if tenant == "" || name == "" {
@@ -314,7 +314,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	events := j.rec.Journal().Events()
 	if len(events) == 0 && !running {
 		// The journal is empty (e.g. the service restarted since the run);
-		// fall back to the persisted rows. The tenant store is closed once a
+		// fall back to the persisted rows. The campaign store is closed once a
 		// campaign finishes, so reopening read-only is safe here.
 		store, err := dbase.OpenStoreFS(s.tenantDBPath(spec), s.fsys)
 		if err != nil {

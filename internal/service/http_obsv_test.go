@@ -168,7 +168,9 @@ func traceEventsOf(t *testing.T, base, id string) []obsv.WideEvent {
 
 // TestTraceEndpoint: the trace stream of a finished campaign reconstructs
 // the engine's causal events — plan draws, attempts, row durability — in
-// causal order, and unknown campaigns 404.
+// causal order, and unknown campaigns 404. A campaign store has no WAL, so
+// every experiment's row-durable event says synced=false: the row becomes
+// durable at the campaign's image save, which no event names.
 func TestTraceEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{DataDir: t.TempDir()})
 	srv := httptest.NewServer(s.Handler())
@@ -182,15 +184,30 @@ func TestTraceEndpoint(t *testing.T) {
 
 	events := traceEventsOf(t, srv.URL, "acme/traced")
 	kinds := map[string]int{}
+	attempted, durable := map[string]bool{}, map[string]bool{}
 	for i, ev := range events {
 		kinds[ev.Kind]++
 		if i > 0 && events[i].TimeNs < events[i-1].TimeNs {
 			t.Fatalf("events out of causal order at %d: %d after %d", i, events[i].TimeNs, events[i-1].TimeNs)
 		}
+		switch ev.Kind {
+		case obsv.EvAttempt:
+			attempted[ev.Experiment] = true
+		case obsv.EvRowDurable:
+			durable[ev.Experiment] = true
+			if strings.Contains(ev.Detail, "synced=true") {
+				t.Fatalf("row-durable event of %s claims a WAL sync: %q", ev.Experiment, ev.Detail)
+			}
+		}
 	}
-	for _, kind := range []string{obsv.EvPlan, obsv.EvAttempt, obsv.EvRowDurable, obsv.EvWALCommit} {
+	for _, kind := range []string{obsv.EvPlan, obsv.EvAttempt, obsv.EvRowDurable} {
 		if kinds[kind] == 0 {
 			t.Fatalf("trace stream lacks %q events; got %v", kind, kinds)
+		}
+	}
+	for exp := range attempted {
+		if !durable[exp] {
+			t.Fatalf("experiment %s has no row-durable event; got %v", exp, kinds)
 		}
 	}
 	if kinds[obsv.EvAttempt] < spec.Experiments {

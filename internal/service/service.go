@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"sync"
@@ -18,7 +17,6 @@ import (
 	"goofi/internal/core"
 	"goofi/internal/dbase"
 	"goofi/internal/obsv"
-	"goofi/internal/sqldb"
 	"goofi/internal/target"
 	"goofi/internal/vfs"
 )
@@ -52,8 +50,9 @@ var (
 // Options configures a Server.
 type Options struct {
 	// DataDir is the service state root: one subdirectory per tenant, each
-	// holding one WAL-backed database file per campaign, plus the drain
-	// queue file.
+	// holding one database file per campaign, plus the drain queue file.
+	// A campaign's file is written once per run, by an atomic image rename
+	// when the campaign completes, fails or is drained.
 	DataDir string
 	// FS is the filesystem seam under every database and the queue file;
 	// nil means the real filesystem. Tests substitute vfs.Faulty here to
@@ -66,9 +65,6 @@ type Options struct {
 	// workers: each campaign may additionally run several workers. 0 means
 	// 2.
 	Concurrency int
-	// WALOptions is the group-commit durability policy of every tenant
-	// store. The zero value syncs every batch (SyncEvery <= 1).
-	WALOptions sqldb.WALOptions
 	// MonitorInterval is the live event-frame period; 0 means 250ms.
 	MonitorInterval time.Duration
 	// RetryAfter is the client backoff hint sent with 429; 0 means 1s.
@@ -427,8 +423,9 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, j *job)
 		if j.cancelled {
 			j.status = StatusCancelled
 		} else {
-			// Drain interrupted it; the WAL holds every logged row and the
-			// queue file re-enqueues the spec for resume on restart.
+			// Drain interrupted it; the saved campaign file holds every
+			// logged row and the queue file re-enqueues the spec for resume
+			// on restart.
 			j.status = StatusInterrupted
 		}
 	default:
@@ -461,13 +458,14 @@ func (s *Server) tenantDBPath(spec Spec) string {
 	return filepath.Join(s.opts.DataDir, spec.Tenant, spec.Campaign+".db")
 }
 
-// openTenantStore opens (or creates) the campaign's WAL-backed store.
+// openTenantStore loads the campaign's database file, or starts an empty
+// store when the file does not exist yet; nothing is written before Save.
 func (s *Server) openTenantStore(spec Spec) (*dbase.Store, error) {
 	dir := filepath.Join(s.opts.DataDir, spec.Tenant)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: tenant dir %s: %w", spec.Tenant, err)
 	}
-	store, err := dbase.OpenStoreWALFS(s.tenantDBPath(spec), s.fsys, s.opts.WALOptions)
+	store, err := dbase.OpenStoreFS(s.tenantDBPath(spec), s.fsys)
 	if err != nil {
 		return nil, fmt.Errorf("service: open store for %s: %w", spec.ID(), err)
 	}
@@ -502,9 +500,12 @@ func ensureTarget(store *dbase.Store, ops target.Operations) error {
 	return core.RegisterTarget(store, ops, "campaign service target")
 }
 
-// runCampaign executes one campaign against its tenant store: open, register,
-// run on a scratch store, merge, classify, save, close. The tenant store is
-// only ever touched from this goroutine — the SQL engine is not verified
+// runCampaign executes one campaign against its campaign store: open,
+// register, run, classify, save, close. The store is a plain file-backed one:
+// writes go to memory and become durable in one atomic image rename when
+// Save runs, whether the campaign completed, failed or was drained. It is
+// touched by one goroutine at a time — this one, and the runner's logging
+// stage while Run is in progress — since the SQL engine is not verified
 // thread-safe.
 func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) {
 	store, err := s.openTenantStore(j.spec)
@@ -522,7 +523,13 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 	}
 	store.SetRecorder(j.rec)
 
-	sum, err := s.runScratch(ctx, j, store, ops, factory)
+	r := core.NewRunner(ops, store, j.c)
+	r.Factory = factory
+	r.Recorder = j.rec
+	r.Events = j.events
+	r.MonitorInterval = s.opts.MonitorInterval
+	r.Logger = s.log
+	sum, err := r.Run(ctx)
 
 	// Classify a completed campaign while its store is open; the report is
 	// served from the job and its AnalysisResult rows are saved with the
@@ -534,7 +541,7 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 		s.mu.Unlock()
 	}
 
-	// Drain the provenance journal into the tenant store before saving.
+	// Drain the provenance journal into the campaign store before saving.
 	if _, derr := store.PutTraceJournal(j.spec.Campaign, j.rec.Journal()); derr != nil && err == nil {
 		err = derr
 	}
@@ -550,133 +557,9 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (core.Summary, error) 
 	return sum, err
 }
 
-// runScratch runs the campaign on a private memory store seeded from the
-// tenant store, then merges what the run added into the tenant store in one
-// batch — also when the run stopped or failed, since an interrupted
-// campaign's rows are what resume needs. Logging to memory spares every
-// logged batch a WAL fsync; the rows reach the tenant WAL when the campaign
-// completes, fails or is drained.
-func (s *Server) runScratch(ctx context.Context, j *job, tenant *dbase.Store,
-	ops target.Operations, factory target.Factory) (core.Summary, error) {
-	scratch, seeded, err := seedScratch(tenant, j.c.Name, ops.Name())
-	if err != nil {
-		return core.Summary{}, fmt.Errorf("service: %s: seed scratch store: %w", j.spec.ID(), err)
-	}
-	defer scratch.Close()
-
-	r := core.NewRunner(ops, scratch, j.c)
-	r.Factory = factory
-	r.Recorder = j.rec
-	r.Events = j.events
-	r.MonitorInterval = s.opts.MonitorInterval
-	r.Logger = s.log
-	sum, err := r.Run(ctx)
-
-	// A failed merge loses rows, so it outranks a stop; a real run failure
-	// outranks it.
-	if merr := seeded.merge(tenant, scratch); merr != nil && (err == nil || errors.Is(err, core.ErrStopped)) {
-		err = fmt.Errorf("service: %s: merge: %w", j.spec.ID(), merr)
-	}
-	return sum, err
-}
-
-// seedState is what a scratch store was seeded with, so the merge can tell
-// the rows a run added from the ones it started with.
-type seedState struct {
-	campaign    string
-	hasCampaign bool            // the tenant store holds the campaign row
-	rows        map[string]bool // experiment names already in the tenant store
-	lastRun     int64           // highest CampaignRunMetrics runId already stored
-}
-
-// seedScratch builds the campaign's scratch memory store from the tenant
-// store: the target row (the foreign-key parent of CampaignData), the
-// campaign row when present, the rows already logged (so the runner skips
-// them) and the campaign's run-metrics rows (so NextRunID continues the
-// tenant's run numbering). The fault-location catalogue is not copied; the
-// runner never reads it.
-func seedScratch(tenant *dbase.Store, campaign, targetName string) (*dbase.Store, seedState, error) {
-	seeded := seedState{campaign: campaign}
-	ts, err := tenant.GetTargetSystem(targetName)
-	if err != nil {
-		return nil, seeded, err
-	}
-	camp, err := tenant.GetCampaign(campaign)
-	seeded.hasCampaign = err == nil
-	if err != nil && !errors.Is(err, dbase.ErrNotFound) {
-		return nil, seeded, err
-	}
-	rows, err := tenant.Experiments(campaign)
-	if err != nil {
-		return nil, seeded, err
-	}
-	runs, err := tenant.RunMetrics(campaign)
-	if err != nil {
-		return nil, seeded, err
-	}
-	seeded.rows = make(map[string]bool, len(rows))
-	for _, row := range rows {
-		seeded.rows[row.ExperimentName] = true
-	}
-	for _, m := range runs {
-		seeded.lastRun = max(seeded.lastRun, m.RunID)
-	}
-
-	scratch, err := dbase.NewMemoryStore()
-	if err != nil {
-		return nil, seeded, err
-	}
-	err = scratch.PutTargetSystem(ts)
-	if err == nil && seeded.hasCampaign {
-		err = scratch.PutCampaign(camp)
-	}
-	if err == nil {
-		err = scratch.PutExperiments(rows)
-	}
-	if err == nil {
-		err = scratch.PutRunMetrics(runs)
-	}
-	if err != nil {
-		scratch.Close()
-		return nil, seeded, err
-	}
-	return scratch, seeded, nil
-}
-
-// merge copies what the run added to the scratch store into the tenant
-// store in one PutRun: the campaign row when the tenant lacks it, the new
-// experiment rows and the new run-metrics rows, so a crash keeps all of them
-// or none. New rows are found by name and run id, never by position: the
-// scratch store lists rows in name order, and resumed rows interleave with
-// new ones.
-func (seeded seedState) merge(tenant, scratch *dbase.Store) error {
-	rows, err := scratch.Experiments(seeded.campaign)
-	if err != nil {
-		return err
-	}
-	fresh := slices.DeleteFunc(rows, func(r dbase.ExperimentRow) bool { return seeded.rows[r.ExperimentName] })
-	runs, err := scratch.RunMetrics(seeded.campaign)
-	if err != nil {
-		return err
-	}
-	newRuns := slices.DeleteFunc(runs, func(m dbase.RunMetricsRow) bool { return m.RunID <= seeded.lastRun })
-	if len(fresh) == 0 && len(newRuns) == 0 {
-		return nil
-	}
-	var camp *dbase.CampaignRow
-	if !seeded.hasCampaign {
-		c, err := scratch.GetCampaign(seeded.campaign)
-		if err != nil {
-			return err
-		}
-		camp = &c
-	}
-	return tenant.PutRun(camp, fresh, newRuns)
-}
-
 // Drain shuts the service down gracefully: new submissions are rejected,
 // running campaigns are stopped after their in-flight experiments (their
-// stores checkpointed and closed), and the interrupted plus still-queued
+// campaign files saved and closed), and the interrupted plus still-queued
 // specs are written durably to the queue file so the next start resumes
 // them. ctx bounds the wait for running campaigns.
 func (s *Server) Drain(ctx context.Context) error {

@@ -129,8 +129,8 @@ func referenceRows(t *testing.T, spec Spec) []dbase.ExperimentRow {
 	return rows
 }
 
-// tenantRows reopens the tenant's persisted database (replaying any WAL
-// sidecar) and returns the campaign's rows.
+// tenantRows reopens the campaign's persisted database file and returns the
+// campaign's rows.
 func tenantRows(t *testing.T, dataDir string, spec Spec) []dbase.ExperimentRow {
 	t.Helper()
 	path := filepath.Join(dataDir, spec.Tenant, spec.Campaign+".db")

@@ -1,9 +1,9 @@
 // Package service is the campaign-as-a-service layer over the GOOFI engine:
 // a multi-tenant daemon that accepts campaign submissions over a JSON/HTTP
 // API, queues them behind a bounded-concurrency scheduler, executes each
-// against its tenant's own WAL-backed database, streams live CampaignEvent
-// frames, and survives SIGTERM by checkpointing in-flight campaigns and
-// persisting the queue for resume on restart.
+// against its own database file in its tenant's directory, streams live
+// CampaignEvent frames, and survives SIGTERM by saving in-flight campaigns
+// and persisting the queue for resume on restart.
 //
 // The genericity argument of the paper (§3) — one engine, many targets —
 // extends here to many clients: campaigns from independent tenants share the
