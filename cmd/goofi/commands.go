@@ -185,7 +185,7 @@ func cmdRun(args []string) error {
 	storageChaos := fs.String("storage-chaos", "", `inject seeded storage faults under the campaign database, e.g. "write=0.01,sync=0.01,torn=0.005,seed=7"`)
 	provenance := fs.Bool("provenance", false, "record causal wide events (plan/attempt/inject/retry/WAL/storage) and persist them for `goofi trace CAMPAIGN`")
 	metricsOut := fs.String("metrics-out", "", "write a metrics snapshot (JSON) to this file after the run")
-	traceOut := fs.String("trace-out", "", "write a Chrome trace_event file to this file after the run")
+	traceOut := fs.String("trace-out", "", "journal every leaf-phase span and write the journal as a Chrome trace_event file to this file after the run")
 	debugAddr := fs.String("debug-addr", "", `serve expvar + pprof + /metrics + /campaign/events on this address during the run, e.g. ":6060"`)
 	monitorEvery := fs.Duration("monitor-interval", time.Second, "period of live event frames and persisted interval metrics")
 	wal := fs.Bool("wal", false, "write-ahead-logged store: O(batch) flushes, group commit, crash recovery")
@@ -336,7 +336,9 @@ func cmdRun(args []string) error {
 		if oerr := writeObsv(rec, *metricsOut, *traceOut); oerr != nil {
 			logger.Error("observability output failed", "err", oerr)
 		}
-		drainJournal(db, c.Name, rec)
+		if *provenance {
+			drainJournal(db, c.Name, rec)
+		}
 		if saveErr := db.Save(); saveErr != nil {
 			return saveErr
 		}
@@ -362,7 +364,9 @@ func cmdRun(args []string) error {
 	if err := writeObsv(rec, *metricsOut, *traceOut); err != nil {
 		return err
 	}
-	drainJournal(db, c.Name, rec)
+	if *provenance {
+		drainJournal(db, c.Name, rec)
+	}
 	if err := db.Save(); err != nil {
 		return err
 	}
@@ -382,9 +386,9 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// drainJournal persists a provenance journal, if one was recorded, into the
-// campaign's trace table. Best-effort: a failed drain is logged, not
-// returned, so it cannot mask the run's own outcome.
+// drainJournal persists the -provenance journal into the campaign's trace
+// table. Best-effort: a failed drain is logged, not returned, so it cannot
+// mask the run's own outcome.
 func drainJournal(db *dbase.Store, campaign string, rec *obsv.Recorder) {
 	j := rec.Journal()
 	if j == nil || j.Len() == 0 {
@@ -525,19 +529,8 @@ func traceTimeline(dbPath, campaign, experiment, chromeOut string) error {
 	if len(events) == 0 {
 		return fmt.Errorf("trace: no provenance events for campaign %q (run it with -provenance)", campaign)
 	}
-	// Sub-experiment events (WAL commits, storage faults) carry no
-	// experiment name in the journal; attribute them by attempt window now.
-	events = obsv.AttributeEvents(events)
 	if chromeOut != "" {
-		f, err := os.Create(chromeOut)
-		if err != nil {
-			return err
-		}
-		err = json.NewEncoder(f).Encode(obsv.ChromeTrace(events))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeChromeTrace(chromeOut, events); err != nil {
 			return err
 		}
 		logger.Info("chrome trace written", "file", chromeOut, "events", len(events))

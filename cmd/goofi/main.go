@@ -124,7 +124,9 @@ Durability:  -wal appends every store mutation to FILE.wal via group commit
 Observability: -metrics-out dumps per-phase timings and store latency
              histograms as JSON (render with goofi stats -metrics FILE,
              compare runs with goofi stats -diff OLD NEW);
-             -trace-out writes a Chrome trace_event file for chrome://tracing;
+             -trace-out journals every leaf phase next to the provenance
+             events and writes the journal as a Chrome trace_event file for
+             chrome://tracing (the rendering of goofi trace -chrome);
              -debug-addr serves expvar + pprof + Prometheus /metrics + the
              /campaign/events live stream during the run (follow it from
              another terminal with goofi watch HOST:PORT; watch reconnects

@@ -19,8 +19,9 @@ import (
 	"goofi/internal/obsv"
 )
 
-// writeObsv dumps the recorder's metrics snapshot and Chrome trace to the
-// requested files. A nil recorder (observability off) is a no-op.
+// writeObsv dumps the recorder's metrics snapshot and its journal, as a
+// Chrome trace, to the requested files. A nil recorder (observability off)
+// is a no-op.
 func writeObsv(rec *obsv.Recorder, metricsPath, tracePath string) error {
 	if rec == nil {
 		return nil
@@ -40,21 +41,28 @@ func writeObsv(rec *obsv.Recorder, metricsPath, tracePath string) error {
 		logger.Info("metrics snapshot written", "path", metricsPath)
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeChromeTrace(tracePath, rec.Journal().Events()); err != nil {
 			return err
 		}
 		logger.Info("trace written; load in chrome://tracing or https://ui.perfetto.dev",
 			"path", tracePath)
 	}
 	return nil
+}
+
+// writeChromeTrace attributes events to the attempts they overlap and writes
+// them as a Chrome trace_event file: the one renderer behind goofi run
+// -trace-out (the live journal) and goofi trace -chrome (the persisted one).
+func writeChromeTrace(path string, events []obsv.WideEvent) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = json.NewEncoder(f).Encode(obsv.ChromeTrace(obsv.AttributeEvents(events)))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // The expvar registry is process-global and Publish panics on duplicates, so

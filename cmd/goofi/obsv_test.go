@@ -83,34 +83,33 @@ func TestCLIRunWithObservability(t *testing.T) {
 	}
 
 	// The trace file must be well-formed trace_event JSON with the
-	// displayTimeUnit Chrome expects and at least one complete ("X") event.
-	raw, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(raw, &tf); err != nil {
-		t.Fatalf("trace JSON: %v", err)
-	}
+	// displayTimeUnit Chrome expects: complete ("X") slices with a duration,
+	// instant ("i") marks for the journal's point events. It holds every
+	// leaf phase the campaign ran, each on its thread, and the attempt
+	// spans and injections of the experiments.
+	tf := readChromeTrace(t, trace)
 	if tf.DisplayTimeUnit != "ms" || len(tf.TraceEvents) == 0 {
 		t.Fatalf("trace: unit=%q events=%d", tf.DisplayTimeUnit, len(tf.TraceEvents))
 	}
 	seen := map[string]bool{}
 	for _, e := range tf.TraceEvents {
-		if e.Ph != "X" || e.Ts < 0 || e.Dur < 0 {
+		if e.Ts < 0 || e.Ph != "X" && e.Ph != "i" || e.Ph == "X" && e.Dur < 0 {
 			t.Fatalf("bad event %+v", e)
 		}
 		seen[e.Name] = true
+		switch e.Name {
+		case "plan":
+			if e.Tid != 0 {
+				t.Errorf("plan on tid %d, want the coordinator's 0", e.Tid)
+			}
+		case "store-flush":
+			if e.Tid != obsv.LogStageTID {
+				t.Errorf("store-flush on tid %d, want the logging stage's %d", e.Tid, obsv.LogStageTID)
+			}
+		}
 	}
-	for _, want := range []string{"reference", "obs/e0000", "inject", "workload"} {
+	for _, want := range []string{"target-init", "plan", "workload", "scan-in", "scan-out", "store-flush",
+		"attempt obs/ref", "attempt obs/e0000", "inject obs/e0000"} {
 		if !seen[want] {
 			t.Errorf("trace missing %q events", want)
 		}
@@ -125,6 +124,75 @@ func TestCLIRunWithObservability(t *testing.T) {
 	}
 	if err := run([]string{"stats"}); err == nil {
 		t.Fatal("stats without -metrics should fail")
+	}
+}
+
+// chromeFile is the part of a Chrome trace_event file the tests read.
+type chromeFile struct {
+	TraceEvents []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		Ts   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+		Tid  int32   `json:"tid"`
+	} `json:"traceEvents"`
+	DisplayTimeUnit string `json:"displayTimeUnit"`
+}
+
+func readChromeTrace(t *testing.T, path string) chromeFile {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf chromeFile
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatalf("trace JSON %s: %v", path, err)
+	}
+	return tf
+}
+
+// TestCLITraceOutMatchesPersistedTrace: goofi run -trace-out renders the
+// live journal and goofi trace -chrome the one -provenance persisted, through
+// the same renderer, so both files hold the same events on the same threads.
+// A parallel run puts the workers' phases on their own threads.
+func TestCLITraceOutMatchesPersistedTrace(t *testing.T) {
+	db := obsvCampaign(t, "two", 16)
+	dir := filepath.Dir(db)
+	live, persisted := filepath.Join(dir, "t.json"), filepath.Join(dir, "c.json")
+	if err := run([]string{"run", "-db", db, "-campaign", "two", "-quiet", "-workers", "2",
+		"-provenance", "-trace-out", live}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	captureStdout(t, func() {
+		if err := run([]string{"trace", "-db", db, "-chrome", persisted, "two"}); err != nil {
+			t.Errorf("trace: %v", err)
+		}
+	})
+	multiset := func(tf chromeFile) map[string]int {
+		m := map[string]int{}
+		for _, e := range tf.TraceEvents {
+			m[fmt.Sprintf("%s|%s|%d", e.Name, e.Ph, e.Tid)]++
+		}
+		return m
+	}
+	a, b := multiset(readChromeTrace(t, live)), multiset(readChromeTrace(t, persisted))
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("-trace-out has %d distinct (name, ph, tid), trace -chrome %d", len(a), len(b))
+	}
+	for k, n := range a {
+		if b[k] != n {
+			t.Errorf("%s: -trace-out has %d, trace -chrome %d", k, n, b[k])
+		}
+	}
+	workerPhases := 0
+	for k, n := range a {
+		if strings.HasPrefix(k, "workload|X|") && !strings.HasSuffix(k, "|0") {
+			workerPhases += n
+		}
+	}
+	if workerPhases == 0 {
+		t.Errorf("no workload phase on a worker thread: %v", a)
 	}
 }
 

@@ -52,11 +52,8 @@ func finish(ops target.Operations, c Campaign, plan faultmodel.Plan, injected in
 
 // injectScan applies scan-domain injections: readScanChain → flip/force →
 // writeScanChain, grouped per chain so simultaneous multi-bit faults in one
-// chain need a single shift sequence. When ops is instrumented
-// (target.Measured), the whole read-modify-write appears as an "inject"
-// group span in the trace; the scan shifts inside it are the leaf phases.
+// chain need a single shift sequence.
 func injectScan(ops target.Operations, injs []faultmodel.Injection) error {
-	defer obsv.GroupOf(ops, "inject").End()
 	emitInject(ops, "scan", injs)
 	byChain := map[string][]faultmodel.Injection{}
 	var order []string
@@ -99,7 +96,6 @@ func emitInject(ops target.Operations, domain string, injs []faultmodel.Injectio
 
 // injectMemory applies memory-domain injections through the test-card port.
 func injectMemory(ops target.Operations, injs []faultmodel.Injection) error {
-	defer obsv.GroupOf(ops, "inject").End()
 	emitInject(ops, "memory", injs)
 	for _, inj := range injs {
 		vals, err := ops.ReadMemory(inj.Loc.Addr, 1)

@@ -305,6 +305,12 @@ func (r *Runner) runExperiment(ops target.Operations, run Algorithm, plan faultm
 		exp, err := r.runAttempt(ops, run, plan, idx, attempt)
 		if journal != nil {
 			tc.EmitSpan(obsv.EvAttempt, attemptDetail(exp, err), began)
+			// Whatever the stack does next (a retry's re-init) is outside
+			// every attempt. A hung attempt's goroutine still owns its
+			// abandoned target, so that target is left as it is.
+			if !errors.Is(err, errHung) {
+				target.ApplyTraceContext(ops, r.traceCtx("", 0, 0, tid))
+			}
 		}
 		if err == nil {
 			out.exp = exp
@@ -604,7 +610,6 @@ func (r *Runner) drawPlans(locs []faultmodel.Location, logged map[string]bool, s
 func (r *Runner) reference(run Algorithm, logged bool, sum *Summary, opsPoisoned *bool) (target.Operations, error) {
 	c := r.campaign
 	ops := r.ops
-	gsp := r.Recorder.BeginGroup("reference", 0)
 	out := r.runExperiment(ops, run, faultmodel.Plan{}, refIndex, 0)
 	for k := 0; out.hung && r.Factory != nil && k < c.RetryLimit; k++ {
 		*opsPoisoned = *opsPoisoned || ops == r.ops
@@ -625,7 +630,6 @@ func (r *Runner) reference(run Algorithm, logged bool, sum *Summary, opsPoisoned
 		// real experiment uses. The logged reference row is index-independent.
 		out = r.runExperiment(ops, run, faultmodel.Plan{}, refIndex-1-k, 0)
 	}
-	gsp.End()
 	sum.Retries += out.retries
 	switch {
 	case out.err != nil:
@@ -916,9 +920,7 @@ func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(targ
 			tagWorker(ops, tid)
 			for j := range jobCh {
 				res := poolResult{idx: j.idx, name: j.name}
-				gsp := r.Recorder.BeginGroup(j.name, tid)
 				res.out = r.runExperiment(ops, run, j.plan, j.idx, tid)
-				gsp.End()
 				if res.out.hung {
 					res.quarantined = true
 					if ops == r.ops {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -25,18 +23,22 @@ func collectDeep(n int) {
 	runtime.KeepAlive(&frame)
 }
 
-// TestRunnerInstrumentedSequential runs a small campaign with the full
+// TestRunnerInstrumentedSequential runs a campaign with the full
 // observability stack and checks the acceptance property: the leaf phases
 // of the campaign threads (all but the logging stage's store flushes)
 // partition the run, so their durations sum to (at most, and most of) the
-// campaign wall-clock.
+// campaign wall-clock. Its journal carries the attempt spans, the injection
+// events and a phase event for every timed section.
 func TestRunnerInstrumentedSequential(t *testing.T) {
 	// The engine + measured target cover everything but cheap glue: the
 	// instrumented fraction must dominate the run (acceptance asks for 95%;
-	// leave headroom for scheduler noise). The measurement window is tens of
-	// milliseconds, so one scheduler stall or GC pause — likely when the
-	// whole package's tests ran first on a loaded single-CPU machine — can
-	// sink a single run; the property is asserted best-of-three.
+	// leave headroom for scheduler noise). About 0.3 ms of the glue is paid
+	// once per campaign, so the campaign is long enough (tens of
+	// milliseconds) to amortise it. One scheduler stall or GC pause — likely
+	// when the whole package's tests ran first on a loaded single-CPU
+	// machine — can still sink a single run; the property is asserted
+	// best-of-three.
+	const n = 96
 	var rec *obsv.Recorder
 	frac := 0.0
 	for attempt := 0; attempt < 3 && frac < 0.80; attempt++ {
@@ -49,14 +51,14 @@ func TestRunnerInstrumentedSequential(t *testing.T) {
 		thor, store := newEnv(t)
 		store.SetRecorder(rec)
 		ops := target.NewMeasured(thor, rec)
-		c := scifiCampaign("obs1", 24)
+		c := scifiCampaign("obs1", n)
 		r := NewRunner(ops, store, c)
 		r.Recorder = rec
 		sum, err := r.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.Completed != 24 {
+		if sum.Completed != n {
 			t.Fatalf("completed = %d", sum.Completed)
 		}
 		snap := rec.Snapshot()
@@ -70,43 +72,58 @@ func TestRunnerInstrumentedSequential(t *testing.T) {
 			t.Fatalf("phase sum %d vs wall %d: leaf phases must not overlap", phaseSum, snap.WallClockNs)
 		}
 		frac = float64(phaseSum) / float64(snap.WallClockNs)
+		t.Logf("instrumented fraction %.3f", frac)
 	}
 	if frac < 0.80 {
 		t.Errorf("instrumented fraction = %.2f, want >= 0.80 (best of 3)", frac)
 	}
 	snap := rec.Snapshot()
-	if snap.Counters["experiments.completed"] != 24 {
+	if snap.Counters["experiments.completed"] != n {
 		t.Fatalf("counters = %+v", snap.Counters)
 	}
 	if snap.Counters["store.calls"] == 0 || snap.Counters["store.rows"] == 0 {
 		t.Fatalf("store counters missing: %+v", snap.Counters)
 	}
 
-	// The trace must be valid Chrome trace JSON containing experiment
-	// groups, inject groups and leaf phases.
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
+	// The journal holds the attempt spans of the reference run and of every
+	// experiment, their injections, and the leaf phases: those of the
+	// target inside an attempt name it, planning and store flushes name
+	// none.
+	kinds := map[string]int{}
+	phases := map[string]int{}
+	for _, ev := range rec.Journal().Events() {
+		kinds[ev.Kind+" "+ev.Experiment]++
+		if ev.Kind != obsv.EvPhase {
+			continue
+		}
+		phases[ev.Detail]++
+		switch ev.Detail {
+		case "plan", "store-flush":
+			if ev.Experiment != "" {
+				t.Errorf("%s phase attributed to %s", ev.Detail, ev.Experiment)
+			}
+		case "scan-in", "scan-out":
+			if ev.Experiment == "" {
+				t.Errorf("%s phase outside every attempt", ev.Detail)
+			}
+		}
 	}
-	var tf obsv.TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace JSON: %v", err)
+	for _, want := range []string{"attempt obs1/ref", "attempt obs1/e0000", "inject obs1/e0000", "phase obs1/e0000"} {
+		if kinds[want] == 0 {
+			t.Errorf("journal missing %q events (have %v)", want, kinds)
+		}
 	}
-	names := map[string]int{}
-	for _, e := range tf.TraceEvents {
-		names[e.Name]++
-	}
-	for _, want := range []string{"reference", "obs1/e0000", "inject", "workload", "scan-in", "scan-out", "store-flush", "plan"} {
-		if names[want] == 0 {
-			t.Errorf("trace missing %q events (have %v)", want, names)
+	for _, want := range []string{"target-init", "workload", "scan-in", "scan-out", "store-flush", "plan"} {
+		if phases[want] == 0 {
+			t.Errorf("journal missing %q phase events (have %v)", want, phases)
 		}
 	}
 }
 
 // TestRunnerInstrumentedParallel checks worker-threaded tracing: every
-// worker records under its own tid and experiment groups land on worker
-// threads, planning stays on the coordinator's tid 0 and store flushes on
-// the logging stage's own thread.
+// worker records under its own tid and attempts land on worker threads,
+// planning stays on the coordinator's tid 0 and store flushes on the
+// logging stage's own thread.
 func TestRunnerInstrumentedParallel(t *testing.T) {
 	rec := obsv.New(obsv.Options{Trace: true})
 	thor, store := newEnv(t)
@@ -123,16 +140,8 @@ func TestRunnerInstrumentedParallel(t *testing.T) {
 	if sum.Completed != 8 {
 		t.Fatalf("completed = %d", sum.Completed)
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf obsv.TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatal(err)
-	}
 	workerTids := map[int32]bool{}
-	for _, e := range tf.TraceEvents {
+	for _, e := range obsv.ChromeTrace(rec.Journal().Events()).TraceEvents {
 		if e.Tid > 0 {
 			workerTids[e.Tid] = true
 		}
@@ -141,6 +150,9 @@ func TestRunnerInstrumentedParallel(t *testing.T) {
 		}
 		if e.Name == "store-flush" && e.Tid != obsv.LogStageTID {
 			t.Errorf("flush phase on tid %d, want the logging stage's %d", e.Tid, obsv.LogStageTID)
+		}
+		if e.Name == "attempt obsp/e0000" && e.Tid < 1 {
+			t.Errorf("experiment attempt on tid %d, want a worker", e.Tid)
 		}
 	}
 	if len(workerTids) < 2 {

@@ -54,6 +54,10 @@ const (
 	// EvHTTPRequest: the service accepted an HTTP request that concerns this
 	// campaign; Detail carries the request id and route.
 	EvHTTPRequest = "http-request"
+	// EvPhase: one leaf-phase span (Span.End on a recorder built with
+	// Options.Trace); Detail names the phase, TimeNs/DurNs its interval. It
+	// names an experiment only when the span ran inside that attempt.
+	EvPhase = "phase"
 )
 
 // Virtual thread ids for emitters that do not run on a campaign worker.
@@ -110,14 +114,27 @@ type WideEvent struct {
 // letting a runaway campaign hold gigabytes.
 const DefaultJournalCap = 1 << 16
 
+// DefaultTraceCap bounds the journal of a recorder built with Options.Trace,
+// which holds a phase event per timed target operation: a 100k-experiment
+// campaign would otherwise grow the buffer without bound.
+const DefaultTraceCap = 1 << 20
+
+// journalBlock is the event count of one journal block.
+const journalBlock = 256
+
 // Journal is a bounded, drop-counting ring of wide events. It grows on
 // demand up to its capacity; when full, the oldest event is overwritten and
 // Dropped is incremented — recent history wins, and the drop counter keeps
 // the loss honest. All methods are safe for concurrent use and no-op on a
 // nil *Journal.
+//
+// Events live in blocks of journalBlock events, so growing never copies
+// what is already buffered: a trace journal reaches 10^5 events and more.
+// The first block grows as it fills, keeping a small journal small.
 type Journal struct {
 	mu       sync.Mutex
-	buf      []WideEvent // appended until len reaches capacity, then a ring
+	blocks   [][]WideEvent // ring slot i is blocks[i/journalBlock][i%journalBlock]
+	n        int           // buffered events: appended until n reaches capacity
 	capacity int
 	start    int // ring index of the oldest buffered event
 	seq      int64
@@ -133,6 +150,11 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{capacity: capacity}
 }
 
+// slot addresses ring index i.
+func (j *Journal) slot(i int) *WideEvent {
+	return &j.blocks[i/journalBlock][i%journalBlock]
+}
+
 // Emit appends one event, assigning its Seq and stamping TimeNs with the
 // current wall clock when the emitter did not provide one.
 func (j *Journal) Emit(ev WideEvent) {
@@ -145,11 +167,20 @@ func (j *Journal) Emit(ev WideEvent) {
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq
-	if len(j.buf) < j.capacity {
-		j.buf = append(j.buf, ev)
+	if j.n < j.capacity {
+		if j.n%journalBlock == 0 {
+			var b []WideEvent // the first block grows as it fills
+			if j.n > 0 {
+				b = make([]WideEvent, 0, min(journalBlock, j.capacity-j.n))
+			}
+			j.blocks = append(j.blocks, b)
+		}
+		last := &j.blocks[len(j.blocks)-1]
+		*last = append(*last, ev)
+		j.n++
 	} else {
-		j.buf[j.start] = ev
-		j.start = (j.start + 1) % len(j.buf)
+		*j.slot(j.start) = ev
+		j.start = (j.start + 1) % j.n
 		j.dropped++
 	}
 	j.mu.Unlock()
@@ -162,9 +193,11 @@ func (j *Journal) Events() []WideEvent {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]WideEvent, 0, len(j.buf))
-	out = append(out, j.buf[j.start:]...)
-	return append(out, j.buf[:j.start]...)
+	out := make([]WideEvent, j.n)
+	for i := range out {
+		out[i] = *j.slot((j.start + i) % j.n)
+	}
+	return out
 }
 
 // Len reports the buffered event count.
@@ -174,7 +207,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.buf)
+	return j.n
 }
 
 // Dropped reports how many events were overwritten past the ring capacity.
@@ -190,8 +223,8 @@ func (j *Journal) Dropped() int64 {
 // TraceContext identifies the experiment attempt in flight: campaign run →
 // shard → experiment → attempt. It travels from the Runner into the target
 // wrappers (via target.ApplyTraceContext) so layers that inject or observe
-// faults can attribute their events to the attempt they hit. The zero value
-// is the disabled state.
+// faults, or time target operations, can attribute their events to the
+// attempt they hit. The zero value is the disabled state.
 type TraceContext struct {
 	// Rec carries the recorder whose journal receives the events.
 	Rec        *Recorder

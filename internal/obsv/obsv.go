@@ -1,9 +1,10 @@
 // Package obsv is GOOFI's observability subsystem: a dependency-free
 // metrics registry (atomic counters, gauges, streaming histograms with
-// p50/p95/p99) and a per-experiment span tracer that records where campaign
-// wall-clock time goes — target initialisation, the golden reference run,
-// scan shift-in/out, workload execution, injection, retry attempts, store
-// flushes — and emits Chrome trace_event-format JSON.
+// p50/p95/p99), leaf-phase spans that record where campaign wall-clock time
+// goes — target initialisation, planning, scan shift-in/out, workload
+// execution, retry backoff, store flushes — and the provenance Journal, one
+// bounded buffer of timed wide events that every trace renderer reads
+// (ChromeTrace, `goofi trace`, the service's /trace stream).
 //
 // The central type is Recorder. Every method is nil-safe: a nil *Recorder
 // is the disabled state and costs one branch and zero allocations on the
@@ -15,16 +16,14 @@
 // the Phase* constants are LEAF phases that never overlap in time on one
 // goroutine, so on a sequential campaign's own threads their durations sum
 // to (just under) the campaign wall-clock; PhaseFlush and PhaseWALAppend
-// run on threads of their own and overlap them. Grouping spans — the campaign, the reference run, one
-// experiment, one injection — are trace-only (BeginGroup) and deliberately
-// excluded from the phase metrics, because they contain leaf phases and
-// would double-count.
+// run on threads of their own and overlap them. A recorder built with
+// Options.Trace also journals every leaf-phase span as an EvPhase event;
+// the structure around them — one experiment attempt, one injection — is
+// the journal's own EvAttempt spans and EvInject events, so nothing is
+// counted twice.
 package obsv
 
-import (
-	"io"
-	"time"
-)
+import "time"
 
 // Phase identifies one leaf phase of campaign execution. Leaf phases are
 // mutually exclusive in time on any one goroutine: their total durations
@@ -94,35 +93,34 @@ func (p Phase) String() string {
 
 // Options configures a Recorder.
 type Options struct {
-	// Trace enables the span tracer (Chrome trace_event buffer). Metrics
-	// are always on for a non-nil recorder.
+	// Trace journals every leaf-phase span as an EvPhase wide event, for
+	// `goofi run -trace-out`. It implies Journal, with room for
+	// DefaultTraceCap events. Metrics are always on for a non-nil recorder.
 	Trace bool
 	// Journal enables the provenance wide-event journal (see journal.go).
 	Journal bool
 }
 
-// Recorder collects metrics (always, when non-nil) and trace spans (when
-// Options.Trace). The zero value is not usable; construct with New. A nil
-// *Recorder is the disabled state: every method no-ops.
+// Recorder collects metrics (always, when non-nil) and wide events (when
+// Options.Journal or Options.Trace). The zero value is not usable; construct
+// with New. A nil *Recorder is the disabled state: every method no-ops.
 type Recorder struct {
-	epoch   time.Time
-	reg     *Registry
-	tracer  *tracer
-	journal *Journal
-	phases  [NumPhases]*Histogram
+	reg         *Registry
+	journal     *Journal
+	phaseEvents bool // Options.Trace: Span.End journals an EvPhase event
+	phases      [NumPhases]*Histogram
 }
 
-// New builds a recorder. The trace epoch (ts=0 of the trace file) is the
-// moment of creation.
+// New builds a recorder.
 func New(o Options) *Recorder {
-	r := &Recorder{epoch: time.Now(), reg: NewRegistry()}
+	r := &Recorder{reg: NewRegistry(), phaseEvents: o.Trace}
 	for p := Phase(0); p < NumPhases; p++ {
 		r.phases[p] = r.reg.Histogram("phase." + p.String())
 	}
-	if o.Trace {
-		r.tracer = newTracer(DefaultTraceCap)
-	}
-	if o.Journal {
+	switch {
+	case o.Trace:
+		r.journal = NewJournal(DefaultTraceCap)
+	case o.Journal:
 		r.journal = NewJournal(DefaultJournalCap)
 	}
 	return r
@@ -147,51 +145,45 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// Span is one in-flight timed section. Span is a value type: starting and
-// ending a span allocates nothing.
+// Span is one in-flight leaf-phase section. Span is a value type: starting
+// and ending a span allocates nothing.
 type Span struct {
-	r     *Recorder
+	tc    TraceContext // tc.Rec records the span; the rest attributes its EvPhase event
 	start time.Time
-	name  string // grouping spans only
-	phase int8   // >= 0: leaf phase; < 0: trace-only grouping span
-	tid   int32
+	phase Phase
 }
 
 // Begin starts a leaf-phase span on virtual thread tid (0 = the campaign
-// coordinator, 1..N = worker goroutines). The duration is recorded into the
-// phase histogram on End, and into the trace when tracing is on.
+// coordinator, 1..N = worker goroutines, or one of the reserved negative
+// ids). The duration is recorded into the phase histogram on End, and
+// journalled as an EvPhase event that names no experiment when the
+// recorder was built with Options.Trace.
 func (r *Recorder) Begin(p Phase, tid int32) Span {
+	return r.BeginIn(p, TraceContext{TID: tid})
+}
+
+// BeginIn starts a leaf-phase span inside the experiment attempt tc names:
+// its EvPhase event carries tc's campaign, experiment, attempt and tid. The
+// span records into r, whichever recorder tc carries.
+func (r *Recorder) BeginIn(p Phase, tc TraceContext) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{r: r, start: time.Now(), phase: int8(p), tid: tid}
-}
-
-// BeginGroup starts a trace-only grouping span (an experiment, the
-// reference run, one injection). Grouping spans contain leaf phases and are
-// therefore excluded from the phase metrics — they exist to structure the
-// trace timeline. With tracing off this records nothing.
-func (r *Recorder) BeginGroup(name string, tid int32) Span {
-	if r == nil || r.tracer == nil {
-		return Span{}
-	}
-	return Span{r: r, start: time.Now(), name: name, phase: -1, tid: tid}
+	tc.Rec = r
+	return Span{tc: tc, start: time.Now(), phase: p}
 }
 
 // End closes the span, recording its duration. End on a zero Span no-ops.
 func (s Span) End() {
-	if s.r == nil {
+	r := s.tc.Rec
+	if r == nil {
 		return
 	}
 	d := time.Since(s.start)
-	if s.phase >= 0 {
-		s.r.phases[s.phase].Observe(int64(d))
-		if s.r.tracer != nil {
-			s.r.tracer.add(Phase(s.phase).String(), "phase", s.tid, s.start.Sub(s.r.epoch), d)
-		}
-		return
+	r.phases[s.phase].Observe(int64(d))
+	if r.phaseEvents {
+		s.tc.emit(EvPhase, s.phase.String(), s.start.UnixNano(), int64(d))
 	}
-	s.r.tracer.add(s.name, "group", s.tid, s.start.Sub(s.r.epoch), d)
 }
 
 // PhaseTotal returns the accumulated nanoseconds of one leaf phase.
@@ -243,34 +235,4 @@ func (r *Recorder) SetWallClock(d time.Duration) {
 		return
 	}
 	r.reg.Gauge("campaign.wall_ns").Set(int64(d))
-}
-
-// WriteTrace emits the buffered spans as a Chrome-loadable trace_event JSON
-// document. With tracing off it writes a valid empty trace.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	if r == nil || r.tracer == nil {
-		return newTracer(1).writeJSON(w)
-	}
-	return r.tracer.writeJSON(w)
-}
-
-// Carrier is implemented by instrumented wrappers (target.Measured) so that
-// code holding only an abstract interface — the injection algorithms — can
-// reach the recorder travelling with it.
-type Carrier interface {
-	// ObsvRecorder returns the wrapper's recorder (possibly nil).
-	ObsvRecorder() *Recorder
-	// ObsvTID returns the virtual thread id the wrapper records under.
-	ObsvTID() int32
-}
-
-// GroupOf starts a trace-only grouping span on v's recorder if v is a
-// Carrier, and a no-op span otherwise — the zero-cost hook the injection
-// algorithms use without knowing whether the target is instrumented.
-func GroupOf(v any, name string) Span {
-	c, ok := v.(Carrier)
-	if !ok {
-		return Span{}
-	}
-	return c.ObsvRecorder().BeginGroup(name, c.ObsvTID())
 }

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +67,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	sp := r.Begin(PhaseInit, 0)
 	sp.End()
-	r.BeginGroup("g", 1).End()
+	r.BeginIn(PhaseScanIn, TraceContext{Experiment: "c/e0001", TID: 1}).End()
 	r.Count("c", 1)
 	r.SetGauge("g", 2)
 	r.Observe("h", time.Millisecond)
@@ -80,13 +79,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	if got := r.Snapshot(); got.WallClockNs != 0 || len(got.Phases) != 0 {
 		t.Fatalf("nil snapshot = %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("nil trace invalid: %v", err)
+	if r.Journal().Events() != nil {
+		t.Fatal("nil recorder journalled events")
 	}
 }
 
@@ -98,7 +92,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		sp := r.Begin(PhaseScanIn, 0)
 		sp.End()
 		r.Count("x", 1)
-		r.BeginGroup("exp", 0).End()
+		r.BeginIn(PhaseScanOut, TraceContext{Experiment: "c/e0001", TID: 1}).End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op", allocs)
@@ -121,70 +115,111 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 }
 
 // TestEnabledMetricsNoTraceZeroAlloc: with metrics on but tracing off, leaf
-// spans still avoid allocation (value Span, atomic histogram).
+// spans still avoid allocation (value Span, atomic histogram), and a
+// provenance journal without Options.Trace receives no phase events.
 func TestEnabledMetricsNoTraceZeroAlloc(t *testing.T) {
-	r := New(Options{})
-	allocs := testing.AllocsPerRun(100, func() {
-		sp := r.Begin(PhaseScanIn, 0)
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("metrics-only span allocates %.1f per op", allocs)
+	tc := TraceContext{Campaign: "c", Experiment: "c/e0001", TID: 1}
+	for _, o := range []Options{{}, {Journal: true}} {
+		r := New(o)
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := r.Begin(PhaseScanIn, 0)
+			sp.End()
+			r.BeginIn(PhaseScanOut, tc).End()
+		})
+		if allocs != 0 {
+			t.Fatalf("metrics-only span (%+v) allocates %.1f per op", o, allocs)
+		}
+		if n := r.Journal().Len(); n != 0 {
+			t.Fatalf("journal without Options.Trace holds %d phase events", n)
+		}
 	}
 }
 
+// TestRecorderPhasesAndTrace: with Options.Trace every leaf-phase span is
+// journalled as an EvPhase event — attributed to the attempt BeginIn names,
+// to none for Begin — and ChromeTrace renders it as a phase slice.
 func TestRecorderPhasesAndTrace(t *testing.T) {
 	r := New(Options{Trace: true})
+	if r.journal.capacity != DefaultTraceCap {
+		t.Fatalf("trace journal capacity = %d, want %d", r.journal.capacity, DefaultTraceCap)
+	}
 	sp := r.Begin(PhaseWorkload, 2)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	r.BeginGroup("exp/e0001", 2).End()
+	r.BeginIn(PhaseScanIn, TraceContext{Rec: New(Options{}), Campaign: "exp", Experiment: "exp/e0001", Attempt: 1, TID: 3}).End()
 	if r.PhaseTotal(PhaseWorkload) < int64(time.Millisecond) {
 		t.Fatalf("workload total = %d", r.PhaseTotal(PhaseWorkload))
 	}
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
+	if r.phases[PhaseScanIn].Count() != 1 {
+		t.Fatal("BeginIn must record into its receiver, not the context's recorder")
 	}
-	var tf TraceFile
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace invalid JSON: %v", err)
+	events := r.Journal().Events()
+	if len(events) != 2 {
+		t.Fatalf("events = %+v", events)
 	}
-	if len(tf.TraceEvents) != 2 {
-		t.Fatalf("events = %d", len(tf.TraceEvents))
-	}
-	byName := map[string]TraceEvent{}
-	for _, e := range tf.TraceEvents {
-		byName[e.Name] = e
-	}
-	wl, ok := byName["workload"]
-	if !ok || wl.Ph != "X" || wl.Cat != "phase" || wl.Tid != 2 || wl.Dur < 1000 {
+	wl, si := events[0], events[1]
+	if wl.Kind != EvPhase || wl.Detail != "workload" || wl.TID != 2 || wl.Experiment != "" ||
+		wl.DurNs < int64(time.Millisecond) {
 		t.Fatalf("workload event = %+v", wl)
 	}
-	if g, ok := byName["exp/e0001"]; !ok || g.Cat != "group" {
-		t.Fatalf("group event = %+v", g)
+	if si.Kind != EvPhase || si.Detail != "scan-in" || si.TID != 3 ||
+		si.Experiment != "exp/e0001" || si.Attempt != 1 || si.Campaign != "exp" {
+		t.Fatalf("scan-in event = %+v", si)
 	}
-	if tf.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit = %q", tf.DisplayTimeUnit)
+
+	tf := ChromeTrace(events)
+	if len(tf.TraceEvents) != 2 {
+		t.Fatalf("chrome events = %+v", tf.TraceEvents)
+	}
+	if e := tf.TraceEvents[0]; e.Name != "workload" || e.Cat != EvPhase || e.Ph != "X" || e.Tid != 2 || e.Dur < 1000 {
+		t.Fatalf("workload slice = %+v", e)
+	}
+	if e := tf.TraceEvents[1]; e.Name != "scan-in" || e.Tid != 3 {
+		t.Fatalf("scan-in slice = %+v", e)
 	}
 }
 
+// TestTraceCapDrops: past its capacity the trace journal keeps the newest
+// phase events and counts the rest; metrics keep counting regardless.
 func TestTraceCapDrops(t *testing.T) {
 	r := New(Options{Trace: true})
-	r.tracer = newTracer(2)
-	for i := 0; i < 5; i++ {
-		r.Begin(PhaseInit, 0).End()
+	r.journal = NewJournal(2)
+	for _, p := range []Phase{PhaseInit, PhaseInit, PhaseInit, PhasePlan, PhaseWorkload} {
+		r.Begin(p, 0).End()
 	}
-	buffered, dropped := r.tracer.stats()
-	if buffered != 2 || dropped != 3 {
-		t.Fatalf("buffered=%d dropped=%d", buffered, dropped)
+	events := r.Journal().Events()
+	if len(events) != 2 || r.Journal().Dropped() != 3 {
+		t.Fatalf("buffered=%d dropped=%d", len(events), r.Journal().Dropped())
+	}
+	if events[0].Detail != "plan" || events[1].Detail != "workload" {
+		t.Fatalf("kept %+v, want the newest two", events)
 	}
 	if s := r.Snapshot(); s.TraceDropped != 3 {
 		t.Fatalf("snapshot dropped = %d", s.TraceDropped)
 	}
-	// Metrics keep counting past the trace cap.
-	if r.phases[PhaseInit].Count() != 5 {
+	if r.phases[PhaseInit].Count() != 3 {
 		t.Fatalf("phase count = %d", r.phases[PhaseInit].Count())
+	}
+}
+
+// TestJournalDropsExported: a journal-only recorder (the service's kind)
+// that overflows reports its drops in the snapshot and on /metrics.
+func TestJournalDropsExported(t *testing.T) {
+	r := New(Options{Journal: true})
+	r.journal = NewJournal(2)
+	for i := 0; i < 5; i++ {
+		r.Journal().Emit(WideEvent{Kind: EvPlan})
+	}
+	s := r.Snapshot()
+	if s.TraceDropped != 3 {
+		t.Fatalf("snapshot dropped = %d, want 3", s.TraceDropped)
+	}
+	var buf bytes.Buffer
+	if err := WritePrometheusMulti(&buf, map[string]Snapshot{"t/c": s}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `goofi_trace_events_dropped_total{campaign="t/c"} 3`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition lacks %q:\n%s", want, buf.String())
 	}
 }
 
@@ -259,28 +294,6 @@ func TestSnapshotFormat(t *testing.T) {
 		t.Fatalf("empty phase rendered:\n%s", out)
 	}
 }
-
-func TestGroupOf(t *testing.T) {
-	// Non-carrier values get a no-op span.
-	GroupOf(42, "x").End()
-	GroupOf(nil, "x").End()
-
-	r := New(Options{Trace: true})
-	c := testCarrier{r: r, tid: 3}
-	GroupOf(c, "inject").End()
-	buffered, _ := r.tracer.stats()
-	if buffered != 1 {
-		t.Fatalf("events = %d", buffered)
-	}
-}
-
-type testCarrier struct {
-	r   *Recorder
-	tid int32
-}
-
-func (c testCarrier) ObsvRecorder() *Recorder { return c.r }
-func (c testCarrier) ObsvTID() int32          { return c.tid }
 
 func TestPhaseString(t *testing.T) {
 	if PhaseScanIn.String() != "scan-in" || Phase(200).String() != "unknown" {

@@ -109,7 +109,7 @@ func writePrometheus(w io.Writer, ls []labeledSnapshot) error {
 	}
 	if anyDropped {
 		pw.family("goofi_trace_events_dropped_total", "counter",
-			"Trace events discarded beyond the buffer cap.")
+			"Wide events the provenance journal overwrote past its cap.")
 		for _, l := range ls {
 			if l.snap.TraceDropped > 0 {
 				pw.sample("goofi_trace_events_dropped_total", l.labels, float64(l.snap.TraceDropped))

@@ -33,7 +33,10 @@ func SortEvents(events []WideEvent) {
 // an unattributed event landing inside an attempt's [start, start+dur]
 // window inherits that attempt's experiment. When windows overlap (parallel
 // workers), the latest-starting window wins; events overlapping no attempt
-// stay unattributed. The input slice is modified in place and returned.
+// stay unattributed. Phase events are left alone: the span that journals
+// one knows whether it ran inside an attempt, so an unattributed phase ran
+// outside every attempt, whatever overlaps it on another thread. The input
+// slice is modified in place and returned.
 func AttributeEvents(events []WideEvent) []WideEvent {
 	type window struct {
 		start, end int64
@@ -55,21 +58,17 @@ func AttributeEvents(events []WideEvent) []WideEvent {
 	}
 	sort.Slice(windows, func(i, j int) bool { return windows[i].start < windows[j].start })
 	for i := range events {
-		if events[i].Experiment != "" || events[i].Kind == EvAttempt {
+		if events[i].Experiment != "" || events[i].Kind == EvAttempt || events[i].Kind == EvPhase {
 			continue
 		}
 		t := events[i].TimeNs
-		for k := len(windows) - 1; k >= 0; k-- {
-			w := windows[k]
-			if w.start > t {
-				continue
-			}
-			if t <= w.end {
-				events[i].Experiment = w.experiment
-				events[i].Index = w.index
-				events[i].Attempt = w.attempt
-			}
-			break // windows before this one start even earlier; latest wins
+		// The latest window starting at or before t; windows before it start
+		// even earlier, so it alone can win.
+		k := sort.Search(len(windows), func(k int) bool { return windows[k].start > t }) - 1
+		if k >= 0 && t <= windows[k].end {
+			events[i].Experiment = windows[k].experiment
+			events[i].Index = windows[k].index
+			events[i].Attempt = windows[k].attempt
 		}
 	}
 	return events
@@ -96,10 +95,31 @@ func EventBatch(ev WideEvent) int64 {
 	return n
 }
 
+// TraceEvent is one Chrome trace_event record: a complete ("X") slice or an
+// instant ("i") mark. The JSON field names follow the Trace Event Format
+// specification, so a dump loads directly into chrome://tracing or Perfetto.
+type TraceEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	TsUs float64 `json:"ts"`  // start, microseconds since trace epoch
+	Dur  float64 `json:"dur"` // duration, microseconds
+	Pid  int     `json:"pid"`
+	Tid  int32   `json:"tid"`
+}
+
+// TraceFile is the envelope ChromeTrace builds — the JSON Object Format of
+// the trace_event spec.
+type TraceFile struct {
+	TraceEvents     []TraceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+}
+
 // ChromeTrace stitches wide events onto one Chrome trace_event timeline: one
 // process lane per Shard value, one thread lane per virtual thread,
-// timestamps rebased to the earliest event.
-// Span events render as complete ("X") slices, instant events as "i" marks.
+// timestamps rebased to the earliest event. Phase events are named after
+// their phase, other events after their kind and experiment. Span events
+// render as complete ("X") slices, instant events as "i" marks.
 func ChromeTrace(events []WideEvent) TraceFile {
 	out := TraceFile{TraceEvents: []TraceEvent{}, DisplayTimeUnit: "ms"}
 	if len(events) == 0 {
@@ -112,17 +132,19 @@ func ChromeTrace(events []WideEvent) TraceFile {
 		}
 	}
 	for _, ev := range events {
-		name := ev.Kind
-		if ev.Experiment != "" {
-			name = ev.Kind + " " + ev.Experiment
-		}
 		te := TraceEvent{
-			Name: name,
+			Name: ev.Kind,
 			Cat:  "provenance",
 			Ph:   "i",
 			TsUs: float64(ev.TimeNs-epoch) / float64(time.Microsecond),
 			Pid:  ev.Shard + 1,
 			Tid:  ev.TID,
+		}
+		switch {
+		case ev.Kind == EvPhase:
+			te.Name, te.Cat = ev.Detail, EvPhase
+		case ev.Experiment != "":
+			te.Name = ev.Kind + " " + ev.Experiment
 		}
 		if ev.DurNs > 0 {
 			te.Ph = "X"

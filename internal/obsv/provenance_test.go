@@ -1,7 +1,9 @@
 package obsv
 
 import (
+	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +180,96 @@ func TestAttributeEvents(t *testing.T) {
 	}
 }
 
+// TestAttributeEventsSkipsPhases: a phase event without an experiment ran
+// outside every attempt, so no overlapping attempt window claims it.
+func TestAttributeEventsSkipsPhases(t *testing.T) {
+	events := AttributeEvents([]WideEvent{
+		{TimeNs: 100, DurNs: 100, Kind: EvAttempt, Experiment: "c/e0001", TID: 1},
+		{TimeNs: 150, DurNs: 10, Kind: EvPhase, Detail: "store-flush", TID: LogStageTID},
+	})
+	if events[1].Experiment != "" {
+		t.Fatalf("phase event attributed to %q", events[1].Experiment)
+	}
+}
+
+// attributeEventsLinear is the reference rule AttributeEvents implements:
+// for each unattributed event, walk back from the latest-starting window to
+// the first one that starts at or before the event, and take it if the
+// event also falls before that window's end.
+func attributeEventsLinear(events []WideEvent) []WideEvent {
+	type window struct {
+		start, end int64
+		experiment string
+		index      int
+		attempt    int
+	}
+	var windows []window
+	for _, ev := range events {
+		if ev.Kind == EvAttempt && ev.Experiment != "" {
+			windows = append(windows, window{ev.TimeNs, ev.TimeNs + ev.DurNs, ev.Experiment, ev.Index, ev.Attempt})
+		}
+	}
+	sort.Slice(windows, func(i, j int) bool { return windows[i].start < windows[j].start })
+	for i := range events {
+		if events[i].Experiment != "" || events[i].Kind == EvAttempt {
+			continue
+		}
+		t := events[i].TimeNs
+		for k := len(windows) - 1; k >= 0; k-- {
+			w := windows[k]
+			if w.start > t {
+				continue
+			}
+			if t <= w.end {
+				events[i].Experiment = w.experiment
+				events[i].Index = w.index
+				events[i].Attempt = w.attempt
+			}
+			break
+		}
+	}
+	return events
+}
+
+// TestAttributeEventsMatchesLinear checks the binary-searched attribution
+// against the linear reference on random overlapping windows, with shared
+// start times, events on window edges and events outside every window.
+func TestAttributeEventsMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		var events []WideEvent
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			ev := WideEvent{Seq: int64(len(events) + 1), TimeNs: rng.Int63n(200)}
+			switch rng.Intn(4) {
+			case 0:
+				ev.Kind, ev.DurNs = EvAttempt, rng.Int63n(60)
+				ev.Experiment, ev.Index, ev.Attempt = "c/e"+string(rune('a'+i%26)), i, rng.Intn(3)
+			case 1:
+				ev.Kind, ev.Experiment = EvRowDurable, "c/pre"
+			default:
+				ev.Kind = EvStorageFault
+			}
+			events = append(events, ev)
+		}
+		// Some unattributed events sit exactly on window edges.
+		for _, ev := range events {
+			if ev.Kind == EvAttempt {
+				events = append(events,
+					WideEvent{Kind: EvWALCommit, TimeNs: ev.TimeNs},
+					WideEvent{Kind: EvWALCommit, TimeNs: ev.TimeNs + ev.DurNs},
+					WideEvent{Kind: EvWALCommit, TimeNs: ev.TimeNs + ev.DurNs + 1})
+			}
+		}
+		want := attributeEventsLinear(append([]WideEvent(nil), events...))
+		got := AttributeEvents(append([]WideEvent(nil), events...))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d event %d: got %+v, want %+v", round, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestEventBatch: the batch id joins row-durable and wal-commit events.
 func TestEventBatch(t *testing.T) {
 	cases := []struct {
@@ -218,6 +310,11 @@ func TestChromeTrace(t *testing.T) {
 	}
 	if mark.Ph != "i" || mark.TsUs != 0 || mark.Tid != StorageTID {
 		t.Fatalf("instant mark wrong: %+v", mark)
+	}
+	// A phase event is named after its phase, not its kind or experiment.
+	phase := ChromeTrace([]WideEvent{{TimeNs: base, DurNs: 1000, Kind: EvPhase, Detail: "scan-in", Experiment: "c/e0001", TID: 1}})
+	if e := phase.TraceEvents[0]; e.Name != "scan-in" || e.Cat != EvPhase || e.Ph != "X" || e.Tid != 1 {
+		t.Fatalf("phase slice wrong: %+v", e)
 	}
 	if empty := ChromeTrace(nil); empty.TraceEvents == nil || len(empty.TraceEvents) != 0 {
 		t.Fatal("empty input must yield an empty (non-nil) event list")

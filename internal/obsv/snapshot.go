@@ -52,7 +52,7 @@ type Snapshot struct {
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// Histograms holds every non-phase histogram (store.* latencies etc.).
 	Histograms []HistogramStats `json:"histograms,omitempty"`
-	// TraceDropped counts trace events discarded beyond the buffer cap.
+	// TraceDropped counts wide events the journal overwrote past its cap.
 	TraceDropped int64 `json:"traceDropped,omitempty"`
 }
 
@@ -79,9 +79,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}
-	if r.tracer != nil {
-		_, s.TraceDropped = r.tracer.stats()
-	}
+	s.TraceDropped = r.journal.Dropped()
 	return s
 }
 
@@ -180,7 +178,7 @@ func (s Snapshot) Format(w io.Writer) {
 		}
 	}
 	if s.TraceDropped > 0 {
-		fmt.Fprintf(w, "\ntrace events dropped: %d (raise trace buffer cap)\n", s.TraceDropped)
+		fmt.Fprintf(w, "\ntrace events dropped: %d (the journal keeps the newest)\n", s.TraceDropped)
 	}
 }
 

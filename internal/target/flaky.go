@@ -174,7 +174,8 @@ func (f *Flaky) SeedExperiment(campaignSeed int64, experiment, attempt int) {
 
 // SetTraceContext stores the attempt's provenance context so injected chaos
 // faults are attributed to the attempt they hit (TraceContextSetter). Set by
-// the runner before each attempt, like SeedExperiment.
+// the runner before each attempt, like SeedExperiment, and stamped without
+// an experiment once the attempt has returned.
 func (f *Flaky) SetTraceContext(tc obsv.TraceContext) {
 	f.tc = tc
 	if s, ok := f.Operations.(TraceContextSetter); ok {

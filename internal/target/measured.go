@@ -24,9 +24,9 @@ import (
 // it answers for the wrapper, and an inner target without the capability
 // surfaces ErrNotImplemented at call time instead of probe time.
 //
-// Measured implements obsv.Carrier, so code holding only the Operations
-// interface (the injection algorithms) can open trace spans on the same
-// recorder via obsv.GroupOf.
+// Inside an experiment attempt, a timed operation's phase event is
+// attributed to the attempt the runner stamped (SetTraceContext); outside
+// every attempt it names no experiment and records under the worker id.
 type Measured struct {
 	Operations
 	rec *obsv.Recorder
@@ -56,17 +56,14 @@ func MeasuredFactory(inner Factory, rec *obsv.Recorder) Factory {
 // (0 = sequential/coordinator, 1..N = pool workers).
 func (m *Measured) SetWorkerID(tid int32) { m.tid.Store(tid) }
 
-// ObsvRecorder returns the recorder (obsv.Carrier).
-func (m *Measured) ObsvRecorder() *obsv.Recorder { return m.rec }
-
-// ObsvTID returns the current virtual thread id (obsv.Carrier).
-func (m *Measured) ObsvTID() int32 { return m.tid.Load() }
-
 // Unwrap returns the wrapped target, for capability probes that need the
 // real implementation.
 func (m *Measured) Unwrap() Operations { return m.Operations }
 
 func (m *Measured) begin(p obsv.Phase) obsv.Span {
+	if m.tc.Experiment != "" {
+		return m.rec.BeginIn(p, m.tc)
+	}
 	return m.rec.Begin(p, m.tid.Load())
 }
 
@@ -256,7 +253,8 @@ func (m *Measured) SeedExperiment(campaignSeed int64, experiment, attempt int) {
 
 // SetTraceContext stores the attempt's provenance context and forwards it
 // inward (TraceContextSetter). Like SeedExperiment, the runner calls this
-// before launching the attempt, so a plain field is race-free.
+// before launching the attempt, and again with no experiment once the
+// attempt has returned, so a plain field is race-free.
 func (m *Measured) SetTraceContext(tc obsv.TraceContext) {
 	m.tc = tc
 	if s, ok := m.Operations.(TraceContextSetter); ok {

@@ -87,8 +87,8 @@ func TestMeasuredForwardsCapabilities(t *testing.T) {
 	if _, ok := ops.(ExperimentSeeder); !ok {
 		t.Error("Measured must forward ExperimentSeeder")
 	}
-	if _, ok := ops.(obsv.Carrier); !ok {
-		t.Error("Measured must implement obsv.Carrier")
+	if _, ok := ops.(TraceContextCarrier); !ok {
+		t.Error("Measured must implement TraceContextCarrier")
 	}
 
 	// Checkpoint time must land in the checkpoint phase.
@@ -148,9 +148,6 @@ func TestMeasuredOptimisticProbes(t *testing.T) {
 // disabled state — operations pass straight through.
 func TestMeasuredNilRecorder(t *testing.T) {
 	m := NewMeasured(measuredStub{}, nil)
-	if m.ObsvRecorder() != nil {
-		t.Fatal("recorder should be nil")
-	}
 	if _, err := m.ReadScanChain("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +162,10 @@ func TestMeasuredNilRecorder(t *testing.T) {
 }
 
 // TestMeasuredFactoryAndTID exercises the factory path and worker-id
-// tagging used by the parallel runner.
+// tagging used by the parallel runner: outside an attempt a phase event
+// records under the worker id and names no experiment; inside one it takes
+// the stamped attempt's experiment, attempt and tid, and once the runner
+// stamps a context without an experiment nothing stale is left behind.
 func TestMeasuredFactoryAndTID(t *testing.T) {
 	rec := obsv.New(obsv.Options{Trace: true})
 	f := MeasuredFactory(FactoryFunc(func() (Operations, error) { return NewSimpleTarget(), nil }), rec)
@@ -177,14 +177,27 @@ func TestMeasuredFactoryAndTID(t *testing.T) {
 	if !ok {
 		t.Fatalf("factory minted %T", ops)
 	}
-	m.SetWorkerID(3)
-	if m.ObsvTID() != 3 {
-		t.Fatalf("tid = %d", m.ObsvTID())
-	}
 	if m.Unwrap() == nil {
 		t.Fatal("unwrap")
 	}
-	// GroupOf reaches the recorder through the Operations interface.
-	sp := obsv.GroupOf(ops, "inject")
-	sp.End()
+	m.SetWorkerID(3)
+	ops.InitTestCard()
+	ApplyTraceContext(ops, obsv.TraceContext{Rec: rec, Campaign: "c", Experiment: "c/e0007", Index: 7, Attempt: 2, TID: 3})
+	ops.InitTestCard()
+	ApplyTraceContext(ops, obsv.TraceContext{Rec: rec, Campaign: "c", TID: 3})
+	ops.InitTestCard()
+
+	events := rec.Journal().Events()
+	if len(events) != 3 {
+		t.Fatalf("events = %+v", events)
+	}
+	for i, wantExp := range []string{"", "c/e0007", ""} {
+		ev := events[i]
+		if ev.Kind != obsv.EvPhase || ev.Detail != "target-init" || ev.TID != 3 || ev.Experiment != wantExp {
+			t.Fatalf("event %d = %+v, want target-init on tid 3 in %q", i, ev, wantExp)
+		}
+	}
+	if events[1].Attempt != 2 || events[1].Index != 7 {
+		t.Fatalf("in-attempt event = %+v", events[1])
+	}
 }
