@@ -22,8 +22,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# The benchmark module is vetted too: it wraps target.Operations, so an
+# interface change is type-checked against it here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off GOPROXY=off $(GO) vet .
 
 # gofmt cleanliness gate: `gofmt -l` prints the names of misformatted files
 # and exits 0 regardless, so fail explicitly when the list is non-empty.
@@ -45,9 +48,9 @@ examples:
 # in internal/envsim, the concurrent recorder/broadcaster in
 # internal/obsv, the WAL group-commit machinery in internal/sqldb, and the
 # fault-injecting filesystem (shared op counter + durability maps) in
-# internal/vfs, the multi-tenant campaign service (queue scheduler,
-# scratch-store merge, drain) in internal/service, and the store layer that
-# drains provenance journals while runners emit into them in
+# internal/vfs, the multi-tenant campaign service (queue scheduler, the
+# campaign store's single Save, drain) in internal/service, and the store
+# layer that drains provenance journals while runners emit into them in
 # internal/dbase; run all ten under the race detector on every change.
 race:
 	$(GO) test -race ./internal/core/... ./internal/scan/... ./internal/target/... ./internal/thor/... ./internal/envsim/... ./internal/obsv/... ./internal/sqldb/... ./internal/vfs/... ./internal/service/... ./internal/dbase/...

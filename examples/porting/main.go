@@ -2,8 +2,9 @@
 // target systems" — twice:
 //
 //  1. it runs a campaign against the bundled *second* target system, a
-//     16-bit accumulator machine that implements only six of the sixteen
-//     Framework operations (pre-runtime SWIFI needs nothing more); and
+//     16-bit accumulator machine that implements fifteen of the twenty-six
+//     Framework operations: the eight pre-runtime SWIFI needs and the seven
+//     of its checkpoint store; and
 //
 //  2. it defines a third, inline target right here in the example by
 //     embedding goofi.BaseTarget (the Fig. 3 Framework template), showing

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"goofi/internal/faultmodel"
@@ -208,10 +209,6 @@ func faultInjectorSWIFIRuntime(ops target.Operations, c Campaign, plan faultmode
 // fires (§4 extension: data access, branch, call, task switch, clock). The
 // plan's sampled times are ignored; the trigger decides the injection point.
 func faultInjectorTriggered(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
-	waiter, ok := ops.(target.TriggerWaiter)
-	if !ok {
-		return Experiment{}, fmt.Errorf("core: target %s cannot wait for triggers", ops.Name())
-	}
 	trig, err := trigger.Parse(c.TriggerSpec)
 	if err != nil {
 		return Experiment{}, err
@@ -222,7 +219,11 @@ func faultInjectorTriggered(ops target.Operations, c Campaign, plan faultmodel.P
 	}
 	injected := 0
 	if len(plan.Injections) > 0 {
-		fired, err := waiter.WaitForTrigger(trig, c.Workload.MaxCycles)
+		fired, err := ops.WaitForTrigger(trig, c.Workload.MaxCycles)
+		if errors.Is(err, target.ErrNotImplemented) {
+			return Experiment{}, fmt.Errorf("core: technique %s needs a target that waits for triggers; %s cannot: %w",
+				c.Technique, ops.Name(), err)
+		}
 		if err != nil {
 			return Experiment{}, err
 		}
@@ -238,18 +239,17 @@ func faultInjectorTriggered(ops target.Operations, c Campaign, plan faultmodel.P
 
 // faultInjectorSCIFICheckpoint is SCIFI with checkpoint amortisation: the
 // first run of a campaign executes the workload from reset to the start of
-// the injection window and snapshots the complete target state; every later
-// experiment restores the snapshot instead of re-running the prefix. The
-// optimisation is behaviour-preserving because the simulator, environment
-// and debug logic are all part of the snapshot.
+// the injection window and snapshots the complete target state under the id
+// InjectMinTime; every later experiment restores the snapshot instead of
+// re-running the prefix. The optimisation is behaviour-preserving because
+// the simulator, environment and debug logic are all part of the snapshot.
+// The id cannot collide with a forking campaign's, since a campaign forks or
+// uses this technique, never both, and the runner drops every snapshot at
+// campaign start.
 func faultInjectorSCIFICheckpoint(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
-	cp, ok := ops.(target.Checkpointer)
-	if !ok {
-		return Experiment{}, fmt.Errorf("core: target %s cannot checkpoint", ops.Name())
-	}
-	restored, err := cp.RestoreCheckpoint()
+	restored, err := ops.RestoreCheckpointAt(c.InjectMinTime)
 	if err != nil {
-		return Experiment{}, err
+		return Experiment{}, needsStore("technique "+c.Technique, ops, err)
 	}
 	if !restored {
 		if err := prepare(ops, c); err != nil {
@@ -267,8 +267,8 @@ func faultInjectorSCIFICheckpoint(ops target.Operations, c Campaign, plan faultm
 				return Experiment{}, err
 			}
 		}
-		if err := cp.SaveCheckpoint(); err != nil {
-			return Experiment{}, err
+		if err := ops.SaveCheckpointAt(c.InjectMinTime); err != nil {
+			return Experiment{}, needsStore("technique "+c.Technique, ops, err)
 		}
 	}
 	injected := 0
@@ -290,4 +290,13 @@ func faultInjectorSCIFICheckpoint(ops target.Operations, c Campaign, plan faultm
 		injected += len(injs)
 	}
 	return finish(ops, c, plan, injected)
+}
+
+// needsStore names what needed the checkpoint store when a target without
+// one answers a checkpoint call with ErrNotImplemented.
+func needsStore(what string, ops target.Operations, err error) error {
+	if errors.Is(err, target.ErrNotImplemented) {
+		return fmt.Errorf("core: %s needs a target with a checkpoint store; %s has none: %w", what, ops.Name(), err)
+	}
+	return err
 }

@@ -184,9 +184,6 @@ func (c Campaign) Validate(ops target.Operations) error {
 		}
 	}
 	if c.Technique == TechSCIFICheckpoint {
-		if _, ok := ops.(target.Checkpointer); !ok {
-			return fmt.Errorf("core: campaign %s: target %s cannot checkpoint", c.Name, ops.Name())
-		}
 		if c.DetailMode {
 			return fmt.Errorf("core: campaign %s: detail mode records per-instruction traces from reset and cannot be combined with checkpointing", c.Name)
 		}
@@ -197,10 +194,6 @@ func (c Campaign) Validate(ops target.Operations) error {
 		default:
 			return fmt.Errorf("core: campaign %s: checkpoint forking does not support technique %s (its injection points are not plan times)",
 				c.Name, c.Technique)
-		}
-		if _, ok := target.AsCheckpointStore(ops); !ok {
-			return fmt.Errorf("core: campaign %s: checkpoint forking needs a target with a checkpoint store; %s has none",
-				c.Name, ops.Name())
 		}
 		if c.DetailMode {
 			return fmt.Errorf("core: campaign %s: detail mode records per-instruction traces from reset and cannot be combined with checkpoint forking", c.Name)
@@ -215,10 +208,6 @@ func (c Campaign) Validate(ops target.Operations) error {
 		}
 		if _, err := trigger.Parse(c.TriggerSpec); err != nil {
 			return fmt.Errorf("core: campaign %s: %w", c.Name, err)
-		}
-		if _, ok := ops.(target.TriggerWaiter); !ok {
-			return fmt.Errorf("core: campaign %s: target %s cannot wait for triggers",
-				c.Name, ops.Name())
 		}
 	}
 	return nil

@@ -73,7 +73,7 @@ type forkWorker struct {
 	src    *forkSource
 	budget int64
 
-	cs  target.CheckpointStore
+	ops target.Operations
 	lru []uint64 // imported checkpoint ids, least recently used first
 }
 
@@ -94,12 +94,12 @@ func (w *forkWorker) ensure(id uint64) error {
 	if !ok {
 		return nil
 	}
-	if err := w.cs.ImportCheckpoint(id, snap); err != nil {
+	if err := w.ops.ImportCheckpoint(id, snap); err != nil {
 		return err
 	}
 	w.lru = append(w.lru, id)
-	for w.cs.CheckpointBytes() > w.budget && len(w.lru) > 1 {
-		w.cs.DropCheckpointAt(w.lru[0])
+	for w.ops.CheckpointBytes() > w.budget && len(w.lru) > 1 {
+		w.ops.DropCheckpointAt(w.lru[0])
 		w.lru = w.lru[1:]
 	}
 	w.r.Recorder.SetGauge("fork.pool.size", int64(len(w.lru)))
@@ -122,7 +122,7 @@ func (w *forkWorker) run(ops target.Operations, c Campaign, plan faultmodel.Plan
 	if err := w.ensure(id); err != nil {
 		return Experiment{}, err
 	}
-	ok, err := w.cs.RestoreCheckpointAt(id)
+	ok, err := ops.RestoreCheckpointAt(id)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -228,37 +228,33 @@ func (r *Runner) newForkPlan(tech technique, jobs []poolJob) *forkPlan {
 // (losing the least restore coverage); the cycle-0 snapshot, which carries
 // the full golden image the deltas alias, is always kept.
 func (f *forkPlan) golden(ops target.Operations, c Campaign, plan faultmodel.Plan) (Experiment, error) {
-	cs, ok := target.AsCheckpointStore(ops)
-	if !ok {
-		return Experiment{}, fmt.Errorf("core: golden-run target %s has no checkpoint store", ops.Name())
-	}
 	// Retry hygiene: a partial harvest from a failed attempt is dropped.
-	cs.DropCheckpoints()
+	ops.DropCheckpoints()
 	if err := prepare(ops, c); err != nil {
 		return Experiment{}, err
 	}
 	var saved []uint64
 	save := func(t uint64) error {
-		if err := cs.SaveCheckpointAt(t); err != nil {
+		if err := ops.SaveCheckpointAt(t); err != nil {
 			return err
 		}
 		saved = append(saved, t)
 		f.r.Recorder.Count("fork.checkpoints.saved", 1)
-		for cs.CheckpointBytes() > f.budget && len(saved) > 1 {
+		for ops.CheckpointBytes() > f.budget && len(saved) > 1 {
 			drop := 1
 			for k := 2; k < len(saved); k++ {
 				if saved[k]-saved[k-1] < saved[drop]-saved[drop-1] {
 					drop = k
 				}
 			}
-			cs.DropCheckpointAt(saved[drop])
+			ops.DropCheckpointAt(saved[drop])
 			saved = append(saved[:drop], saved[drop+1:]...)
 			f.r.Recorder.Count("fork.checkpoints.dropped", 1)
 		}
 		return nil
 	}
 	if err := save(0); err != nil {
-		return Experiment{}, err
+		return Experiment{}, needsStore("checkpoint forking", ops, err)
 	}
 	for _, t := range f.candidates[1:] {
 		if err := ops.SetBreakpoint(t); err != nil {
@@ -298,25 +294,20 @@ func (f *forkPlan) golden(ops target.Operations, c Campaign, plan faultmodel.Pla
 // store, and returns the experiment body for runPool: each call binds a
 // fresh forkWorker, with an empty pool, to one target, dropping any
 // checkpoint the target carries.
-func (f *forkPlan) source(ops target.Operations) func(target.Operations) (Algorithm, error) {
-	cs, _ := target.AsCheckpointStore(ops) // the golden run succeeded on it
+func (f *forkPlan) source(ops target.Operations) func(target.Operations) Algorithm {
 	src := &forkSource{snaps: make(map[uint64]any, len(f.candidates))}
 	for _, t := range f.candidates {
-		if snap, ok := cs.ExportCheckpoint(t); ok {
+		if snap, ok := ops.ExportCheckpoint(t); ok {
 			src.cycles = append(src.cycles, t)
 			src.snaps[t] = snap
 		}
 	}
-	cs.DropCheckpoints()
+	ops.DropCheckpoints()
 	f.r.Recorder.SetGauge("fork.checkpoints.harvested", int64(len(src.cycles)))
-	return func(ops target.Operations) (Algorithm, error) {
-		cs, ok := target.AsCheckpointStore(ops)
-		if !ok {
-			return nil, fmt.Errorf("core: fork worker target %s has no checkpoint store", ops.Name())
-		}
-		cs.DropCheckpoints()
+	return func(ops target.Operations) Algorithm {
+		ops.DropCheckpoints()
 		f.r.Recorder.SetGauge("fork.pool.size", 0)
-		w := &forkWorker{r: f.r, tech: f.tech, src: src, budget: f.budget, cs: cs}
-		return w.run, nil
+		w := &forkWorker{r: f.r, tech: f.tech, src: src, budget: f.budget, ops: ops}
+		return w.run
 	}
 }

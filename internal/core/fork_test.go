@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -356,18 +355,4 @@ func TestForkValidation(t *testing.T) {
 	if err := bad.Validate(ops); err == nil {
 		t.Error("negative checkpoint budget must be rejected")
 	}
-
-	// A target without a checkpoint store cannot fork — and a wrapper must
-	// not hide that.
-	flaky := target.NewFlaky(forkStub{}, target.FlakyConfig{})
-	if err := good.Validate(flaky); err == nil || !strings.Contains(err.Error(), "checkpoint store") {
-		t.Errorf("store-less target accepted for forking: %v", err)
-	}
-}
-
-// forkStub is a minimal capability-free target for validation tests.
-type forkStub struct{ target.BaseTarget }
-
-func (forkStub) Chains() []target.ChainInfo {
-	return []target.ChainInfo{{Name: "internal.core", Bits: 8, Writable: []int{0, 1, 2, 3, 4, 5, 6, 7}}}
 }

@@ -154,11 +154,11 @@ func (h *hangAt) SetDetailMode(on bool) {
 	h.Operations.SetDetailMode(on)
 }
 
-// store forwards the checkpoint store of the wrapped target, so forking
-// campaigns run on hangAt too; every call counts as a touch.
-func (h *hangAt) store() target.CheckpointStore {
+// store counts a checkpoint-store call as a touch and returns the wrapped
+// target to serve it, so forking campaigns run on hangAt too.
+func (h *hangAt) store() target.Operations {
 	h.touch()
-	return h.Operations.(target.CheckpointStore)
+	return h.Operations
 }
 
 func (h *hangAt) SaveCheckpointAt(id uint64) error { return h.store().SaveCheckpointAt(id) }

@@ -243,17 +243,15 @@ func runRecovered(run Algorithm, ops target.Operations, c Campaign, plan faultmo
 	return run(ops, c, plan)
 }
 
-// runAttempt executes one experiment attempt. Targets with seeded behaviour
-// (target.ExperimentSeeder, e.g. the Flaky chaos wrapper) are reseeded per
-// (campaign seed, experiment, attempt) so outcomes do not depend on worker
+// runAttempt executes one experiment attempt. The target is reseeded per
+// (campaign seed, experiment, attempt), a no-op unless its behaviour is
+// seeded like the Flaky chaos wrapper's, so outcomes do not depend on worker
 // scheduling. With Campaign.ExperimentTimeout set, the attempt runs under a
 // wall-clock watchdog; on expiry errHung is returned and the attempt's
 // goroutine is abandoned together with the target it runs on.
 func (r *Runner) runAttempt(ops target.Operations, run Algorithm, plan faultmodel.Plan, idx, attempt int) (Experiment, error) {
 	c := r.campaign
-	if s, ok := ops.(target.ExperimentSeeder); ok {
-		s.SeedExperiment(c.Seed, idx, attempt)
-	}
+	ops.SeedExperiment(c.Seed, idx, attempt)
 	if c.ExperimentTimeout <= 0 {
 		return runRecovered(run, ops, c, plan)
 	}
@@ -409,9 +407,7 @@ func (r *Runner) mintTarget() (target.Operations, error) {
 		return nil, err
 	}
 	ops.SetDetailMode(r.campaign.DetailMode)
-	if cs, ok := target.AsCheckpointStore(ops); ok {
-		cs.DropCheckpoints()
-	}
+	ops.DropCheckpoints()
 	return ops, nil
 }
 
@@ -515,9 +511,7 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 	}()
 
 	// A stale snapshot from an earlier campaign must never leak in.
-	if cs, ok := target.AsCheckpointStore(r.ops); ok {
-		cs.DropCheckpoints()
-	}
+	r.ops.DropCheckpoints()
 
 	// One prefix-scan of the campaign's logged experiments answers every
 	// resume question below: a store failure is propagated rather than
@@ -537,7 +531,7 @@ func (r *Runner) execute(ctx context.Context, tech technique, locs []faultmodel.
 	// checkpoint harvest), the job order and the experiment body; the
 	// engine is the same.
 	refRun := tech.run
-	body := func(target.Operations) (Algorithm, error) { return tech.run, nil }
+	body := func(target.Operations) Algorithm { return tech.run }
 	var fork *forkPlan
 	if c.Fork {
 		fork = r.newForkPlan(tech, jobs)
@@ -863,29 +857,26 @@ func (s *logStage) close() error {
 // Factory-minted instance. A worker whose attempt hung quarantines its
 // target, which the abandoned attempt goroutine may still be running on, and
 // continues on a freshly minted replacement with a freshly bound body. If
-// none can be minted or bound (no Factory, or the Factory fails), the worker
+// none can be minted (no Factory, or the Factory fails), the worker
 // retires and the pool degrades; once no worker is left, the campaign aborts
 // with the completed rows logged and resumable.
-func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(target.Operations) (Algorithm, error), sum Summary, opsPoisoned *bool) (Summary, error) {
+func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(target.Operations) Algorithm, sum Summary, opsPoisoned *bool) (Summary, error) {
 	c := r.campaign
 	workers := min(max(c.Workers, 1), len(jobs))
 	// Every worker's target is minted and bound before any worker starts, so
-	// a factory or bind failure aborts before any experiment runs.
+	// a factory failure aborts before any experiment runs.
 	targets := make([]target.Operations, workers)
 	runs := make([]Algorithm, workers)
 	for i := range targets {
 		ops := first
-		var err error
 		if workers > 1 {
-			ops, err = r.mintTarget()
-		}
-		if err == nil {
-			runs[i], err = body(ops)
-		}
-		if err != nil {
-			return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
+			var err error
+			if ops, err = r.mintTarget(); err != nil {
+				return sum, fmt.Errorf("core: campaign %s: worker %d: %w", c.Name, i, err)
+			}
 		}
 		targets[i] = ops
+		runs[i] = body(ops)
 	}
 	journal := r.Recorder.Journal()
 
@@ -930,15 +921,12 @@ func (r *Runner) runPool(jobs []poolJob, first target.Operations, body func(targ
 						r.traceCtx(j.name, j.idx, 0, tid).Emit(obsv.EvQuarantine, "hung target retired")
 					}
 					nops, err := r.mintTarget()
-					if err == nil {
-						run, err = body(nops)
-					}
 					if err != nil {
 						res.lost = err
 						resCh <- res
 						return
 					}
-					ops = nops
+					ops, run = nops, body(nops)
 					tagWorker(ops, tid)
 				}
 				resCh <- res

@@ -853,13 +853,14 @@ func TestCheckpointValidation(t *testing.T) {
 	if err := c.Validate(ops); err == nil {
 		t.Fatal("detail mode + checkpoint should fail validation")
 	}
-	// A target without the capability is rejected.
+	// SimpleTarget has a checkpoint store but no scan chains, so SCIFI's
+	// memory-location filter is what rejects it.
 	c.DetailMode = false
 	simple := target.NewSimpleTarget()
 	c.Workload = target.SimpleChecksumWorkload()
 	c.LocationFilter = "mem:0x800-0x840"
 	if err := c.Validate(simple); err == nil {
-		t.Fatal("chainless/checkpointless target should fail validation")
+		t.Fatal("chainless target should fail scifi-checkpoint validation")
 	}
 }
 

@@ -2,6 +2,7 @@ package target
 
 import (
 	"goofi/internal/scan"
+	"goofi/internal/trigger"
 	"goofi/internal/workload"
 )
 
@@ -64,3 +65,32 @@ func (BaseTarget) TraceLog() []TraceEntry { return nil }
 
 // EnvLog reports no environment simulator.
 func (BaseTarget) EnvLog() (vals, ends []uint32) { return nil, nil }
+
+// SaveCheckpointAt is not implemented by the framework default.
+func (BaseTarget) SaveCheckpointAt(uint64) error { return ErrNotImplemented }
+
+// RestoreCheckpointAt is not implemented by the framework default.
+func (BaseTarget) RestoreCheckpointAt(uint64) (bool, error) { return false, ErrNotImplemented }
+
+// DropCheckpointAt is a no-op: the default store holds nothing.
+func (BaseTarget) DropCheckpointAt(uint64) {}
+
+// DropCheckpoints is a no-op: the default store holds nothing.
+func (BaseTarget) DropCheckpoints() {}
+
+// CheckpointBytes reports an empty store.
+func (BaseTarget) CheckpointBytes() int64 { return 0 }
+
+// ExportCheckpoint reports no snapshot.
+func (BaseTarget) ExportCheckpoint(uint64) (any, bool) { return nil, false }
+
+// ImportCheckpoint is not implemented by the framework default.
+func (BaseTarget) ImportCheckpoint(uint64, any) error { return ErrNotImplemented }
+
+// WaitForTrigger is not implemented by the framework default.
+func (BaseTarget) WaitForTrigger(trigger.Trigger, uint64) (bool, error) {
+	return false, ErrNotImplemented
+}
+
+// SeedExperiment is a no-op: targets without pseudo-randomness ignore it.
+func (BaseTarget) SeedExperiment(int64, int, int) {}

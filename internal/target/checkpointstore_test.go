@@ -3,7 +3,6 @@ package target
 import (
 	"testing"
 
-	"goofi/internal/obsv"
 	"goofi/internal/workload"
 )
 
@@ -220,38 +219,5 @@ func TestSimpleCheckpointStore(t *testing.T) {
 	}
 	if err := sib.ImportCheckpoint(1, 3.14); err == nil {
 		t.Fatal("foreign snapshot accepted")
-	}
-}
-
-// TestAsCheckpointStore pins the probe semantics: wrappers answer for their
-// inner target, and the returned store is the outermost layer.
-func TestAsCheckpointStore(t *testing.T) {
-	rec := obsv.New(obsv.Options{})
-	thorT := NewDefaultThorTarget()
-
-	if _, ok := AsCheckpointStore(thorT); !ok {
-		t.Error("bare ThorTarget must probe true")
-	}
-	m := NewMeasured(thorT, rec)
-	if cs, ok := AsCheckpointStore(m); !ok {
-		t.Error("Measured(Thor) must probe true")
-	} else if _, isMeasured := cs.(*Measured); !isMeasured {
-		t.Error("probe must return the outermost layer")
-	}
-	f := NewFlaky(m, FlakyConfig{})
-	if cs, ok := AsCheckpointStore(f); !ok {
-		t.Error("Flaky(Measured(Thor)) must probe true")
-	} else if _, isFlaky := cs.(*Flaky); !isFlaky {
-		t.Error("probe must return the outermost layer")
-	}
-
-	if _, ok := AsCheckpointStore(measuredStub{}); ok {
-		t.Error("capability-free target must probe false")
-	}
-	if _, ok := AsCheckpointStore(NewMeasured(measuredStub{}, rec)); ok {
-		t.Error("Measured(stub) must probe false: the capability is not real underneath")
-	}
-	if _, ok := AsCheckpointStore(NewFlaky(measuredStub{}, FlakyConfig{})); ok {
-		t.Error("Flaky(stub) must probe false")
 	}
 }

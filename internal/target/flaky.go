@@ -117,13 +117,9 @@ type FlakyCounts struct {
 // of (campaign seed, experiment index, attempt index) — independent of worker
 // scheduling — and chaos campaigns stay bit-reproducible.
 //
-// The single-slot capability interfaces (Checkpointer, TriggerWaiter) are
-// intentionally not forwarded: a wrapped target reports only the generic
-// operation surface, so capability probes stay truthful for validation.
-// CheckpointStore IS forwarded (with chaos on the save/restore/import paths)
-// because forking campaigns must be chaos-testable; validation stays truthful
-// through AsCheckpointStore, which requires the innermost target to hold the
-// capability for real.
+// Checkpoint save, restore and import are chaos-injected too, so forking
+// and scifi-checkpoint campaigns are chaos-testable. Every other operation,
+// WaitForTrigger included, is promoted from the inner target unchanged.
 type Flaky struct {
 	Operations
 	cfg FlakyConfig
@@ -166,10 +162,11 @@ func mixSeed(cfgSeed, campaignSeed int64, experiment, attempt int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// SeedExperiment reseeds the fault stream for one experiment attempt
-// (ExperimentSeeder).
+// SeedExperiment reseeds the fault stream for one experiment attempt, and
+// the inner target's (ExperimentSeeder).
 func (f *Flaky) SeedExperiment(campaignSeed int64, experiment, attempt int) {
 	f.rng = rand.New(rand.NewSource(mixSeed(f.cfg.Seed, campaignSeed, experiment, attempt)))
+	f.Operations.SeedExperiment(campaignSeed, experiment, attempt)
 }
 
 // SetTraceContext stores the attempt's provenance context so injected chaos
@@ -256,73 +253,28 @@ func (f *Flaky) WriteMemory(addr uint32, vals []uint32) error {
 	return f.Operations.WriteMemory(addr, vals)
 }
 
-// Unwrap returns the wrapped target, for capability probes that need the
-// real implementation (AsCheckpointStore).
-func (f *Flaky) Unwrap() Operations { return f.Operations }
-
 // SaveCheckpointAt injects chaos into the checkpoint-save path.
 func (f *Flaky) SaveCheckpointAt(id uint64) error {
-	cs, ok := f.Operations.(CheckpointStore)
-	if !ok {
-		return ErrNotImplemented
-	}
 	if err := f.chaos("SaveCheckpointAt"); err != nil {
 		return err
 	}
-	return cs.SaveCheckpointAt(id)
+	return f.Operations.SaveCheckpointAt(id)
 }
 
 // RestoreCheckpointAt injects chaos into the checkpoint-restore path.
 func (f *Flaky) RestoreCheckpointAt(id uint64) (bool, error) {
-	cs, ok := f.Operations.(CheckpointStore)
-	if !ok {
-		return false, ErrNotImplemented
-	}
 	if err := f.chaos("RestoreCheckpointAt"); err != nil {
 		return false, err
 	}
-	return cs.RestoreCheckpointAt(id)
+	return f.Operations.RestoreCheckpointAt(id)
 }
 
-// DropCheckpointAt forwards without chaos: dropping state cannot glitch.
-func (f *Flaky) DropCheckpointAt(id uint64) {
-	if cs, ok := f.Operations.(CheckpointStore); ok {
-		cs.DropCheckpointAt(id)
-	}
-}
-
-// DropCheckpoints forwards without chaos.
-func (f *Flaky) DropCheckpoints() {
-	if cs, ok := f.Operations.(CheckpointStore); ok {
-		cs.DropCheckpoints()
-	}
-}
-
-// CheckpointBytes forwards without chaos (pure accounting).
-func (f *Flaky) CheckpointBytes() int64 {
-	if cs, ok := f.Operations.(CheckpointStore); ok {
-		return cs.CheckpointBytes()
-	}
-	return 0
-}
-
-// ExportCheckpoint forwards without chaos (exports alias host memory; the
-// glitching surface is the target link, exercised by import/restore).
-func (f *Flaky) ExportCheckpoint(id uint64) (any, bool) {
-	if cs, ok := f.Operations.(CheckpointStore); ok {
-		return cs.ExportCheckpoint(id)
-	}
-	return nil, false
-}
-
-// ImportCheckpoint injects chaos into the pool-import path.
+// ImportCheckpoint injects chaos into the pool-import path. Dropping and
+// exporting checkpoints are promoted without chaos: they only touch host
+// memory, not the target link.
 func (f *Flaky) ImportCheckpoint(id uint64, snap any) error {
-	cs, ok := f.Operations.(CheckpointStore)
-	if !ok {
-		return ErrNotImplemented
-	}
 	if err := f.chaos("ImportCheckpoint"); err != nil {
 		return err
 	}
-	return cs.ImportCheckpoint(id, snap)
+	return f.Operations.ImportCheckpoint(id, snap)
 }

@@ -130,18 +130,22 @@ func TestFlakyBoundedHang(t *testing.T) {
 	}
 }
 
-// TestFlakyHidesCapabilities: wrapping must not forward optional capability
-// interfaces, or campaign validation would promise checkpoint/trigger support
-// the chaos layer cannot deliver faithfully.
-func TestFlakyHidesCapabilities(t *testing.T) {
-	var ops Operations = NewFlaky(NewDefaultThorTarget(), FlakyConfig{})
-	if _, ok := ops.(Checkpointer); ok {
-		t.Error("Flaky must not forward Checkpointer")
-	}
-	if _, ok := ops.(TriggerWaiter); ok {
-		t.Error("Flaky must not forward TriggerWaiter")
-	}
-	if _, ok := ops.(ExperimentSeeder); !ok {
-		t.Error("Flaky must implement ExperimentSeeder")
+// seedProbe records the last SeedExperiment call it saw.
+type seedProbe struct {
+	BaseTarget
+	seeds [][3]int64
+}
+
+func (p *seedProbe) SeedExperiment(campaignSeed int64, experiment, attempt int) {
+	p.seeds = append(p.seeds, [3]int64{campaignSeed, int64(experiment), int64(attempt)})
+}
+
+// TestFlakySeedsInner: reseeding a Flaky layer reseeds the target it wraps
+// too, so a stack of seeded layers replays as one.
+func TestFlakySeedsInner(t *testing.T) {
+	p := &seedProbe{}
+	NewFlaky(NewFlaky(p, FlakyConfig{}), FlakyConfig{}).SeedExperiment(4, 5, 6)
+	if len(p.seeds) != 1 || p.seeds[0] != [3]int64{4, 5, 6} {
+		t.Fatalf("inner seeds = %v", p.seeds)
 	}
 }

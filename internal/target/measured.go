@@ -16,13 +16,9 @@ import (
 // memory access, checkpointing), so a campaign run over Measured targets
 // yields a per-phase wall-clock breakdown.
 //
-// Unlike Flaky, Measured DOES forward the optional capability interfaces
-// (Checkpointer, CheckpointStore, TriggerWaiter, ExperimentSeeder) by probing
-// the inner target dynamically: instrumentation must be transparent, or switching on
-// -metrics-out would silently change which techniques a campaign can run.
-// The trade-off is that a capability probe against Measured is optimistic —
-// it answers for the wrapper, and an inner target without the capability
-// surfaces ErrNotImplemented at call time instead of probe time.
+// Operations Measured does not time (dropping and exporting checkpoints,
+// seeding, the inventory calls) are promoted from the inner target, so
+// instrumentation never changes what a campaign can run.
 //
 // Inside an experiment attempt, a timed operation's phase event is
 // attributed to the attempt the runner stamped (SetTraceContext); outside
@@ -55,10 +51,6 @@ func MeasuredFactory(inner Factory, rec *obsv.Recorder) Factory {
 // SetWorkerID assigns the virtual thread id this instance records under
 // (0 = sequential/coordinator, 1..N = pool workers).
 func (m *Measured) SetWorkerID(tid int32) { m.tid.Store(tid) }
-
-// Unwrap returns the wrapped target, for capability probes that need the
-// real implementation.
-func (m *Measured) Unwrap() Operations { return m.Operations }
 
 func (m *Measured) begin(p obsv.Phase) obsv.Span {
 	if m.tc.Experiment != "" {
@@ -137,118 +129,33 @@ func (m *Measured) WriteMemory(addr uint32, vals []uint32) error {
 	return m.Operations.WriteMemory(addr, vals)
 }
 
-// SaveCheckpoint forwards Checkpointer, timed as checkpoint-save. An inner
-// target without the capability gets ErrNotImplemented.
-func (m *Measured) SaveCheckpoint() error {
-	cp, ok := m.Operations.(Checkpointer)
-	if !ok {
-		return ErrNotImplemented
-	}
-	sp := m.begin(obsv.PhaseCheckpointSave)
-	defer sp.End()
-	return cp.SaveCheckpoint()
-}
-
-// RestoreCheckpoint forwards Checkpointer, timed as checkpoint-restore.
-func (m *Measured) RestoreCheckpoint() (bool, error) {
-	cp, ok := m.Operations.(Checkpointer)
-	if !ok {
-		return false, ErrNotImplemented
-	}
-	sp := m.begin(obsv.PhaseCheckpointRestore)
-	defer sp.End()
-	return cp.RestoreCheckpoint()
-}
-
-// ClearCheckpoint forwards Checkpointer (untimed: it only drops state).
-func (m *Measured) ClearCheckpoint() {
-	if cp, ok := m.Operations.(Checkpointer); ok {
-		cp.ClearCheckpoint()
-	}
-}
-
-// SaveCheckpointAt forwards CheckpointStore, timed as checkpoint-save.
+// SaveCheckpointAt times a checkpoint save as checkpoint-save.
 func (m *Measured) SaveCheckpointAt(id uint64) error {
-	cs, ok := m.Operations.(CheckpointStore)
-	if !ok {
-		return ErrNotImplemented
-	}
 	sp := m.begin(obsv.PhaseCheckpointSave)
 	defer sp.End()
-	return cs.SaveCheckpointAt(id)
+	return m.Operations.SaveCheckpointAt(id)
 }
 
-// RestoreCheckpointAt forwards CheckpointStore, timed as checkpoint-restore.
+// RestoreCheckpointAt times a checkpoint restore as checkpoint-restore.
 func (m *Measured) RestoreCheckpointAt(id uint64) (bool, error) {
-	cs, ok := m.Operations.(CheckpointStore)
-	if !ok {
-		return false, ErrNotImplemented
-	}
 	sp := m.begin(obsv.PhaseCheckpointRestore)
 	defer sp.End()
-	return cs.RestoreCheckpointAt(id)
+	return m.Operations.RestoreCheckpointAt(id)
 }
 
-// DropCheckpointAt forwards CheckpointStore (untimed: it only drops state).
-func (m *Measured) DropCheckpointAt(id uint64) {
-	if cs, ok := m.Operations.(CheckpointStore); ok {
-		cs.DropCheckpointAt(id)
-	}
-}
-
-// DropCheckpoints forwards CheckpointStore (untimed).
-func (m *Measured) DropCheckpoints() {
-	if cs, ok := m.Operations.(CheckpointStore); ok {
-		cs.DropCheckpoints()
-	}
-}
-
-// CheckpointBytes forwards CheckpointStore (untimed; 0 without the
-// capability).
-func (m *Measured) CheckpointBytes() int64 {
-	if cs, ok := m.Operations.(CheckpointStore); ok {
-		return cs.CheckpointBytes()
-	}
-	return 0
-}
-
-// ExportCheckpoint forwards CheckpointStore (untimed: exports alias).
-func (m *Measured) ExportCheckpoint(id uint64) (any, bool) {
-	if cs, ok := m.Operations.(CheckpointStore); ok {
-		return cs.ExportCheckpoint(id)
-	}
-	return nil, false
-}
-
-// ImportCheckpoint forwards CheckpointStore, timed as checkpoint-save (an
-// import is how a worker's pool acquires a snapshot).
+// ImportCheckpoint times a snapshot import as checkpoint-save (an import is
+// how a worker's pool acquires a snapshot).
 func (m *Measured) ImportCheckpoint(id uint64, snap any) error {
-	cs, ok := m.Operations.(CheckpointStore)
-	if !ok {
-		return ErrNotImplemented
-	}
 	sp := m.begin(obsv.PhaseCheckpointSave)
 	defer sp.End()
-	return cs.ImportCheckpoint(id, snap)
+	return m.Operations.ImportCheckpoint(id, snap)
 }
 
-// WaitForTrigger forwards TriggerWaiter, timed as workload time.
+// WaitForTrigger times the run up to the trigger as workload time.
 func (m *Measured) WaitForTrigger(trig trigger.Trigger, maxCycles uint64) (bool, error) {
-	tw, ok := m.Operations.(TriggerWaiter)
-	if !ok {
-		return false, ErrNotImplemented
-	}
 	sp := m.begin(obsv.PhaseWorkload)
 	defer sp.End()
-	return tw.WaitForTrigger(trig, maxCycles)
-}
-
-// SeedExperiment forwards ExperimentSeeder (untimed), preserving the
-// bit-reproducibility contract for wrapped chaos targets.
-func (m *Measured) SeedExperiment(campaignSeed int64, experiment, attempt int) {
-	if es, ok := m.Operations.(ExperimentSeeder); ok {
-		es.SeedExperiment(campaignSeed, experiment, attempt)
-	}
+	return m.Operations.WaitForTrigger(trig, maxCycles)
 }
 
 // SetTraceContext stores the attempt's provenance context and forwards it

@@ -2,7 +2,10 @@
 // operations a fault-injection algorithm needs from a test card (paper §2.2,
 // Fig. 3). Algorithms in internal/core speak only this interface; porting
 // GOOFI to a new system means implementing it (or embedding BaseTarget and
-// overriding the operations the system supports).
+// overriding the operations the system supports). Checkpointing, trigger
+// waits and per-attempt seeding are operations like any other, so wrappers
+// such as Measured and Flaky, which embed the inner Operations, promote every
+// capability they do not time or break.
 //
 // Two targets ship with the reproduction: ThorTarget, the JTAG-equipped
 // Thor-RD simulator the paper's campaigns run on, and SimpleTarget, the
@@ -163,26 +166,28 @@ type Operations interface {
 	// are read-only views of the target's own log, valid until the target
 	// runs again; both are nil without a simulator.
 	EnvLog() (vals, ends []uint32)
+
+	// The checkpoint, trigger and seeding capabilities. A target without
+	// one keeps BaseTarget's default, and a campaign that needs it fails on
+	// first use.
+	CheckpointStore
+	TriggerWaiter
+	ExperimentSeeder
 }
 
-// Checkpointer is the optional capability behind the scifi-checkpoint
-// technique: saving the post-prefix system state once and restoring it for
-// every subsequent experiment.
+// Checkpointer is retired: only perfbench/wrap.go names it; no target implements it.
 type Checkpointer interface {
-	// SaveCheckpoint snapshots the complete system state.
 	SaveCheckpoint() error
-	// RestoreCheckpoint restores the snapshot, reporting false when none was
-	// saved.
 	RestoreCheckpoint() (bool, error)
-	// ClearCheckpoint discards any saved snapshot.
 	ClearCheckpoint()
 }
 
-// CheckpointStore generalises Checkpointer to many snapshots addressed by
-// caller-chosen ids — the capability behind the core engine's golden-run
-// checkpoint forking. The forking engine uses reference-run cycle counts as
-// ids: it snapshots along the golden run, then starts each experiment from
-// the nearest checkpoint at or before its first injection time.
+// CheckpointStore is the checkpoint capability: snapshots addressed by
+// caller-chosen ids. The scifi-checkpoint technique keeps one snapshot at the
+// injection window's start; checkpoint forking uses reference-run cycle
+// counts as ids, snapshotting along the golden run and starting each
+// experiment from the nearest checkpoint at or before its first injection
+// time.
 //
 // Exported snapshots are opaque immutable values. They may be imported into
 // any sibling instance minted from the same Factory (same configuration);
@@ -212,44 +217,19 @@ type CheckpointStore interface {
 	ImportCheckpoint(id uint64, snap any) error
 }
 
-// AsCheckpointStore probes ops for a usable CheckpointStore. Wrapper layers
-// (Measured, Flaky) forward the capability optimistically — they answer for
-// themselves and surface ErrNotImplemented only at call time — so this
-// helper unwraps to the innermost target and requires the capability to be
-// real there, while returning the outermost store so instrumentation and
-// chaos stay in the call path.
-func AsCheckpointStore(ops Operations) (CheckpointStore, bool) {
-	outer, ok := ops.(CheckpointStore)
-	if !ok {
-		return nil, false
-	}
-	inner := ops
-	for {
-		u, ok := inner.(interface{ Unwrap() Operations })
-		if !ok {
-			break
-		}
-		inner = u.Unwrap()
-	}
-	if _, ok := inner.(CheckpointStore); !ok {
-		return nil, false
-	}
-	return outer, true
-}
-
-// TriggerWaiter is the optional capability behind the scifi-triggered
-// technique: running until an event trigger fires.
+// TriggerWaiter is the capability behind the scifi-triggered technique:
+// running until an event trigger fires.
 type TriggerWaiter interface {
 	// WaitForTrigger runs the workload until the trigger fires, reporting
 	// false when the workload ends or the budget is exhausted first.
 	WaitForTrigger(trig trigger.Trigger, maxCycles uint64) (bool, error)
 }
 
-// ExperimentSeeder is the optional capability of targets whose behaviour
-// draws on pseudo-randomness (the Flaky chaos wrapper): the campaign runner
-// reseeds before every experiment attempt, so nondeterministic-looking
-// behaviour is actually a pure function of (campaign seed, experiment index,
-// attempt index) — independent of worker scheduling — and campaigns over such
+// ExperimentSeeder is the capability of targets whose behaviour draws on
+// pseudo-randomness (the Flaky chaos wrapper): the campaign runner reseeds
+// before every experiment attempt, so nondeterministic-looking behaviour is
+// actually a pure function of (campaign seed, experiment index, attempt
+// index) — independent of worker scheduling — and campaigns over such
 // targets stay bit-reproducible.
 type ExperimentSeeder interface {
 	// SeedExperiment reseeds the target's PRNG for one experiment attempt.

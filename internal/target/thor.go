@@ -20,6 +20,9 @@ var errNotInitialised = errors.New("target: test card not initialised")
 // through the JTAG TAP's scan chains, and environment simulators are coupled
 // to the workload at its SYNC points.
 type ThorTarget struct {
+	// BaseTarget supplies SeedExperiment: the simulator is deterministic.
+	BaseTarget
+
 	cfg  thor.Config
 	sys  *thor.System
 	tap  *scan.TAP
@@ -49,10 +52,6 @@ type ThorTarget struct {
 	goldenCP *thor.Checkpoint
 	cpBytes  int64
 }
-
-// legacySlot is the CheckpointStore id backing the single-slot Checkpointer
-// interface, out of the way of the forking engine's cycle-count ids.
-const legacySlot = ^uint64(0)
 
 // thorSnapshot is one stored snapshot: the CPU checkpoint plus the debug
 // registers, TAP controller stage and environment-simulator state it does
@@ -410,17 +409,6 @@ func (t *ThorTarget) EnvLog() (vals, ends []uint32) {
 	}
 	return t.env.Log()
 }
-
-// SaveCheckpoint snapshots the complete system state into the single legacy
-// slot (Checkpointer).
-func (t *ThorTarget) SaveCheckpoint() error { return t.SaveCheckpointAt(legacySlot) }
-
-// RestoreCheckpoint restores the legacy-slot snapshot, reporting false when
-// none was saved (Checkpointer).
-func (t *ThorTarget) RestoreCheckpoint() (bool, error) { return t.RestoreCheckpointAt(legacySlot) }
-
-// ClearCheckpoint discards the legacy-slot snapshot (Checkpointer).
-func (t *ThorTarget) ClearCheckpoint() { t.DropCheckpointAt(legacySlot) }
 
 // SaveCheckpointAt snapshots the complete system state — CPU (registers,
 // memory, caches), debug registers, TAP controller stage and environment

@@ -6,9 +6,10 @@ import "goofi/internal/obsv"
 // flight onto the target stack before every attempt (ApplyTraceContext), the
 // wrappers store and forward it inward, and fault-injecting layers (Flaky)
 // or instrumented layers (Measured) attribute the wide events they emit to
-// that attempt. Like SetWorkerID and ExperimentSeeder, the capability is a
-// dynamic probe: interface embedding does not promote it, so every wrapper
-// forwards explicitly.
+// that attempt. Like SetWorkerID, the capability is runner-to-wrapper
+// plumbing rather than an Operations method, so it is a dynamic probe:
+// interface embedding does not promote it, and every wrapper forwards it
+// explicitly.
 
 // TraceContextSetter is the probe the runner uses to hand the current
 // attempt's provenance context to the target stack.
